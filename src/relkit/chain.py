@@ -10,6 +10,15 @@ order, generators are applied in list order, and new base points are the
 smallest point moved by the offending residue.  Two builds from the same
 generator list produce identical transversals, which is what makes
 transporter certificates reproducible.
+
+A caller that already knows the group order may pass it.  The fixpoint
+loop then stops as soon as the transversal lengths multiply to that
+order (the known-order stop of Seress, *Permutation Group Algorithms*,
+ch. 4).  Every stale transversal is an orbit of a subgroup of that
+level's group, so the product never exceeds the order; equality means the
+strong generating set is complete and every remaining Schreier generator
+would sift to the identity.  The full loop would only have rebuilt the
+stale transversals, which the stop does too, so both give the same chain.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ class _Level:
 class StabilizerChain:
     """Base, transversals and strong generators for a permutation group."""
 
-    def __init__(self, degree: int, generators, base_prefix=()):
+    def __init__(self, degree: int, generators, base_prefix=(), order=None):
         self.degree = degree
         self._levels: list[_Level] = []
         seen = set()
@@ -43,7 +52,7 @@ class StabilizerChain:
         gens = [g for g in generators if not g.is_identity()]
         for g in gens:
             self._install(g)
-        self._complete()
+        self._complete(order)
 
     # -- construction -------------------------------------------------
 
@@ -84,12 +93,20 @@ class StabilizerChain:
             queue = nxt
         level.transversal = trans
 
-    def _complete(self):
-        """Fixpoint loop: process the deepest dirty level first."""
+    def _complete(self, order):
+        """Fixpoint loop: process the deepest dirty level first.
+
+        With a known group order, stop once the transversals reach it,
+        after bringing every stale transversal up to date.
+        """
         dirty = set(range(len(self._levels)))
         while dirty:
             i = max(dirty)
             self._rebuild_transversal(i)
+            if order is not None and self.order() == order:
+                for j in dirty - {i}:
+                    self._rebuild_transversal(j)
+                return
             level = self._levels[i]
             gens = self._gens_at(i)
             clean = True

@@ -10,13 +10,10 @@ verification criterion failed, 2 input error, 3 caps exceeded under
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import sys
 
 from . import catalog as cat
-from .chain import StabilizerChain
 from .closure import k_closure
 from .digraphs import enumerate_homogeneous_digraphs
 from .errors import (
@@ -64,9 +61,6 @@ def _add_global_flags(parser, suppress=False):
                         default=d or "table")
     parser.add_argument("--seed", type=int, default=d or DEFAULT_TEST6_SEED)
     parser.add_argument("--jobs", type=int, default=d or 1)
-    parser.add_argument("--cache", default=argparse.SUPPRESS if suppress else None,
-                        help="directory for the stabilizer-chain cache"
-                             " (RELC_CACHE_DIR when omitted)")
     parser.add_argument("--strict", action="store_true",
                         default=argparse.SUPPRESS if suppress else False,
                         help="exit 3 when any field is skipped by a cap")
@@ -181,67 +175,6 @@ def _scalar(value):
     return value
 
 
-# -- chain cache -------------------------------------------------------------
-
-
-def _cache_dir(args):
-    return args.cache or os.environ.get("RELC_CACHE_DIR")
-
-
-def _load_group_cached(args, path):
-    group = load_group(path)
-    cache = _cache_dir(args)
-    if not cache:
-        return group
-    os.makedirs(cache, exist_ok=True)
-    payload = json.dumps(
-        [group.degree, sorted(g.images for g in group.generators)]
-    ).encode()
-    key = hashlib.sha256(payload).hexdigest()[:24]
-    cache_file = os.path.join(cache, f"chain-{key}.json")
-    if os.path.exists(cache_file):
-        try:
-            with open(cache_file) as fh:
-                data = json.load(fh)
-            group._chain = _chain_from_cache(group, data)
-            return group
-        except (OSError, ValueError, KeyError):
-            pass  # fall through to a fresh build
-    chain = group.chain
-    with open(cache_file, "w") as fh:
-        json.dump(_chain_to_cache(chain), fh)
-    return group
-
-
-def _chain_to_cache(chain):
-    return {
-        "base": chain.base,
-        "levels": [[list(g.images) for g in level.added] for level in chain._levels],
-    }
-
-
-def _chain_from_cache(group, data):
-    from .perm import Permutation
-
-    chain = StabilizerChain.__new__(StabilizerChain)
-    chain.degree = group.degree
-    chain._levels = []
-    from .chain import _Level
-
-    for point, gens in zip(data["base"], data["levels"]):
-        level = _Level(point, group.degree)
-        level.added = [Permutation(images) for images in gens]
-        chain._levels.append(level)
-    for i in range(len(chain._levels)):
-        chain._rebuild_transversal(i)
-    # cheap integrity check: cached strong generators must sift to identity
-    for level in chain._levels:
-        for g in level.added:
-            if not chain.contains(g):
-                raise ValueError("stale chain cache")
-    return chain
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -252,7 +185,7 @@ def _rc_caps(args):
 
 
 def cmd_stats(args) -> int:
-    group = _load_group_cached(args, args.group_file)
+    group = load_group(args.group_file)
     report = compute_statistics(group, rc_caps=_rc_caps(args))
     emit(args, report.to_json())
     if args.strict and report.skipped:
@@ -261,7 +194,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_rc(args) -> int:
-    group = _load_group_cached(args, args.group_file)
+    group = load_group(args.group_file)
     rc, witness = relational_complexity(group, **_rc_caps(args))
     model = {"degree": group.degree, "order": group.order(), "rc": rc,
              "witness": witness.to_json() if witness else None}
@@ -270,7 +203,7 @@ def cmd_rc(args) -> int:
 
 
 def cmd_tests(args) -> int:
-    group = _load_group_cached(args, args.group_file)
+    group = load_group(args.group_file)
     selection = args.test
     if selection in ("all", None):
         names = list(BATTERY_ORDER)
@@ -300,7 +233,7 @@ def cmd_tests(args) -> int:
 
 
 def cmd_closure(args) -> int:
-    group = _load_group_cached(args, args.group_file)
+    group = load_group(args.group_file)
     closure = k_closure(group, args.k)
     model = {
         "k": args.k,

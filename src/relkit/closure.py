@@ -125,7 +125,7 @@ def k_closure(group: PermutationGroup, k: int) -> PermutationGroup:
         stab = known.pointwise_stabilizer(range(d)) if d else known
         reached = set(stab.orbit(d))
         for c in range(n):
-            if c in reached or c < d and False:
+            if c in reached:
                 continue
             if c in prefix_images and c != d:
                 continue

@@ -26,7 +26,7 @@ DEGREE_CAP = 10**5
 
 
 class PermutationGroup:
-    def __init__(self, degree: int, generators, base_prefix=()):
+    def __init__(self, degree: int, generators, base_prefix=(), _order=None):
         if degree < 1:
             raise PointOutOfRange("degree must be >= 1")
         if degree > DEGREE_CAP:
@@ -40,6 +40,9 @@ class PermutationGroup:
         self.degree = degree
         self.generators = tuple(gens)
         self._base_prefix = tuple(base_prefix)
+        # The group order once known: handed in by rebased() or
+        # pointwise_stabilizer(), or read off this group's chain.
+        self._order: int | None = _order
         self._chain: StabilizerChain | None = None
         self._lock = threading.Lock()
 
@@ -51,18 +54,25 @@ class PermutationGroup:
             with self._lock:
                 if self._chain is None:
                     self._chain = StabilizerChain(
-                        self.degree, self.generators, self._base_prefix
+                        self.degree, self.generators, self._base_prefix, self._order
                     )
+                    self._order = self._chain.order()
         return self._chain
 
     def rebased(self, base_prefix) -> "PermutationGroup":
-        """Same group with a chain whose base starts with the given points."""
+        """Same group with a chain whose base starts with the given points.
+
+        The order is handed on when already known, so the new chain can
+        stop early; it is never computed just for that.
+        """
         for p in base_prefix:
             self._check_point(p)
-        return PermutationGroup(self.degree, self.generators, base_prefix)
+        return PermutationGroup(self.degree, self.generators, base_prefix, self._order)
 
     def order(self) -> int:
-        return self.chain.order()
+        if self._order is None:
+            self._order = self.chain.order()
+        return self._order
 
     def is_trivial(self) -> bool:
         return not self.generators
@@ -169,7 +179,10 @@ class PermutationGroup:
         chain = self.rebased(points).chain
         k = len(dict.fromkeys(points))
         gens = chain.strong_generators_below(k)
-        return PermutationGroup(self.degree, gens)
+        # Carry the order, not the sliced chain: a chain built from gens
+        # has its own base and transversals, which fix the order in which
+        # elements() enumerates the stabilizer.
+        return PermutationGroup(self.degree, gens, _order=chain.order_below(k))
 
     def pointwise_stabilizer_order(self, points) -> int:
         points = list(dict.fromkeys(points))
@@ -356,15 +369,12 @@ class PermutationGroup:
         )
 
     def __hash__(self):
-        return hash((self.degree, self.generators))
+        # equal groups may have different generators; degree and order agree
+        return hash((self.degree, self.order()))
 
     def __repr__(self):
         gens = ", ".join(format_permutation(g) for g in self.generators) or "()"
         return f"PermutationGroup(degree={self.degree}, <{gens}>)"
-
-
-def same_group(a: PermutationGroup, b: PermutationGroup) -> bool:
-    return a == b
 
 
 def group_from_json(data) -> PermutationGroup:

@@ -23,7 +23,7 @@ class Permutation:
 
     @staticmethod
     def identity(degree: int) -> "Permutation":
-        return Permutation(range(degree))
+        return _trusted(tuple(range(degree)))
 
     @staticmethod
     def from_cycles(cycles, degree: int) -> "Permutation":
@@ -53,8 +53,7 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if len(self.images) != len(other.images):
             raise DegreeMismatch("cannot compose permutations of different degrees")
-        o = other.images
-        return Permutation(o[x] for x in self.images)
+        return _trusted(tuple(map(other.images.__getitem__, self.images)))
 
     def __pow__(self, n: int) -> "Permutation":
         if n < 0:
@@ -72,7 +71,7 @@ class Permutation:
         inv = [0] * len(self.images)
         for i, x in enumerate(self.images):
             inv[x] = i
-        return Permutation(inv)
+        return _trusted(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(i == x for i, x in enumerate(self.images))
@@ -123,6 +122,17 @@ class Permutation:
 
     def __str__(self):
         return format_permutation(self)
+
+
+def _trusted(images: tuple) -> Permutation:
+    """Wrap an image tuple known to be a bijection, skipping the check.
+
+    Products, inverses and identities of valid permutations are bijections
+    by construction; only outside input goes through Permutation(images).
+    """
+    perm = object.__new__(Permutation)
+    perm.images = images
+    return perm
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

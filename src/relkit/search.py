@@ -54,12 +54,7 @@ def canonical_prefixes(lattice: StabilizerLattice, max_depth=None, prune=None):
     may return True to skip extensions of a node.  Prefix sets already
     visited through another ordering are skipped.
     """
-    group = lattice.group
     seen: set[frozenset] = set()
-
-    def extensions(points, stab):
-        exclude = set(points)
-        return sorted(min(orb) for orb in stab.orbits() if orb[0] not in exclude)
 
     def walk(points, fset, stab, order):
         depth = len(points)
@@ -67,14 +62,16 @@ def canonical_prefixes(lattice: StabilizerLattice, max_depth=None, prune=None):
             return
         if prune is not None and prune(depth, order):
             return
-        for p in extensions(points, stab):
+        # A point the stabilizer fixes cannot shrink it, so only the minima
+        # of nontrivial orbits extend the prefix (orbits() lists each orbit
+        # from its minimum, in ascending order).  By orbit-stabilizer, each
+        # of those divides the order by its orbit length.
+        for p in [orb[0] for orb in stab.orbits() if len(orb) > 1]:
             child_set = fset | {p}
             if child_set in seen:
                 continue
             child = stab.pointwise_stabilizer([p])
             child_order = child.order()
-            if child_order == order:
-                continue  # no strict decrease: never part of an independent set
             seen.add(child_set)
             lattice._memo.setdefault(child_set, child)
             lattice._orders.setdefault(child_set, child_order)

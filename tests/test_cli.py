@@ -119,14 +119,16 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert main(["stats", str(missing_field)]) == 2
 
 
-def test_cache_roundtrip(capsys, tmp_path, s4_file):
-    cache = tmp_path / "cache"
-    code, first = run(capsys, "rc", s4_file, "--cache", str(cache), "--format=json")
-    assert code == 0
-    assert list(cache.iterdir())
-    code, second = run(capsys, "rc", s4_file, "--cache", str(cache), "--format=json")
-    assert code == 0
-    assert first == second  # cache is output-invariant
+def test_cache_flag_is_rejected(capsys, tmp_path, s4_file, monkeypatch):
+    # the on-disk chain cache is gone; --cache is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["rc", s4_file, "--cache", str(tmp_path / "cache")])
+    assert exc.value.code == 2
+    assert "--cache" in capsys.readouterr().err
+    monkeypatch.setenv("RELC_CACHE_DIR", str(tmp_path / "env-cache"))
+    code, out = run(capsys, "rc", s4_file, "--format=json")
+    assert code == 0 and json.loads(out)["rc"] == 2
+    assert not (tmp_path / "env-cache").exists()
 
 
 def test_verify_filter(capsys):

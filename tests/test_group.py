@@ -331,6 +331,15 @@ def test_group_file_roundtrip(tmp_path):
     assert loaded == g
 
 
+def test_equal_groups_hash_equal():
+    g = G(4, "(1 2)", "(1 2 3 4)")
+    h = G(4, "(1 2 3 4)", "(1 2)")
+    assert g.generators != h.generators
+    assert g == h and hash(g) == hash(h)
+    assert len({g, h}) == 1
+    assert len({g, alt4()}) == 2
+
+
 # -- property tests ------------------------------------------------------------------
 
 small_groups = st.sampled_from([

@@ -57,6 +57,14 @@ def test_composition_order():
     assert (p * q)(0) == q(p(0)) == 2
 
 
+def test_public_constructor_checks_bijection():
+    # products and inverses skip this check; outside input never does
+    with pytest.raises(MalformedSyntax):
+        Permutation([0, 0, 2])
+    with pytest.raises(MalformedSyntax):
+        Permutation([1, 2, 3])
+
+
 def test_order_and_cycle_type():
     p = parse_permutation("(1 2 3)(4 5)", 6)
     assert p.order() == 6
