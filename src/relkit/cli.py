@@ -10,6 +10,7 @@ verification criterion failed, 2 input error, 3 caps exceeded under
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -310,38 +311,13 @@ def cmd_verify(args) -> int:
                 numbers.add(int(token))
             else:
                 numbers.update(num for num, name, _ in CRITERIA if token in name)
-    if args.jobs > 1:
-        summary = _verify_parallel(numbers, args.jobs)
-    else:
-        summary = run_all(numbers=numbers)
-    if args.format == "json":
+    as_json = args.format == "json"
+    # in JSON mode the PASS/FAIL lines go to stderr: stdout holds the model alone
+    echo = functools.partial(print, file=sys.stderr) if as_json else print
+    summary = run_all(numbers=numbers, echo=echo, jobs=args.jobs)
+    if as_json:
         print(json.dumps(summary, indent=2))
     return 0 if summary["all_passed"] else 1
-
-
-def _verify_parallel(numbers, jobs):
-    from concurrent.futures import ProcessPoolExecutor
-
-    from .verify import CRITERIA, run_criterion
-
-    wanted = [num for num, _, _ in CRITERIA if numbers is None or num in numbers]
-    summary = {"criteria": [], "all_passed": True}
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(run_criterion, wanted))
-    for result in results:  # input order, never completion order
-        summary["criteria"].append(result)
-        if not result["passed"]:
-            summary["all_passed"] = False
-        status = "PASS" if result["passed"] else "FAIL"
-        print(f"{status} criterion {result['criterion']} ({result['name']})"
-              f" [{result['seconds']}s]")
-        if not result["passed"]:
-            for check in result["checks"]:
-                if not check["ok"]:
-                    print(f"     {check['label']}: expected {check['expected']},"
-                          f" got {check['got']}")
-    return summary
-
 
 if __name__ == "__main__":
     sys.exit(main())

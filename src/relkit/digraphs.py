@@ -204,28 +204,27 @@ def enumerate_homogeneous_digraphs(n) -> list[Digraph]:
     """All homogeneous digraphs on n vertices up to isomorphism (n <= 5).
 
     Exhaustive over edge masks; a homogeneous digraph is vertex-transitive,
-    so uniform in- and out-degrees filter first, then canonical-form
-    deduplication, then the homogeneity test.
+    so only masks with uniform out-degree are generated (one d-subset of
+    each vertex's out-pairs) and uniform in-degree filters them, then
+    canonical-form deduplication in ascending mask order, then the
+    homogeneity test.
     """
     if n > 5:
         raise TooLarge("exhaustive enumeration capped at 5 vertices")
     if n < 1:
         raise BadParameter("need at least one vertex")
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    out_masks = []
-    in_masks = []
-    for v in range(n):
-        out_masks.append(sum(1 << i for i, (a, _) in enumerate(pairs) if a == v))
-        in_masks.append(sum(1 << i for i, (_, b) in enumerate(pairs) if b == v))
+    out_bits = [[1 << i for i, (a, _) in enumerate(pairs) if a == v] for v in range(n)]
+    in_masks = [sum(1 << i for i, (_, b) in enumerate(pairs) if b == v) for v in range(n)]
     survivors = []
-    for mask in range(1 << len(pairs)):
-        degs_out = [(mask & m).bit_count() for m in out_masks]
-        if any(d != degs_out[0] for d in degs_out):
-            continue
-        degs_in = [(mask & m).bit_count() for m in in_masks]
-        if any(d != degs_in[0] for d in degs_in):
-            continue
-        survivors.append(mask)
+    for d in range(n):
+        choices = [[sum(c) for c in itertools.combinations(bits, d)] for bits in out_bits]
+        for parts in itertools.product(*choices):
+            mask = sum(parts)
+            degs_in = [(mask & m).bit_count() for m in in_masks]
+            if all(deg == degs_in[0] for deg in degs_in):
+                survivors.append(mask)
+    survivors.sort()
     canon_seen = set()
     out = []
     for mask in survivors:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ArityTooLarge, CapExceeded, ParseError, TooLarge, VertexOutOfRange
 from .group import PermutationGroup
@@ -49,6 +50,17 @@ class RelationalStructure:
 
     def arity_sequence(self):
         return tuple(a for a, _ in self.relations)
+
+    @cached_property
+    def signature(self) -> dict:
+        """Per arity: tuple -> bitmask of the relation positions holding it
+        (bit i for relation i); a tuple in no relation is absent."""
+        tables = {}
+        for i, (arity, tuples) in enumerate(self.relations):
+            table = tables.setdefault(arity, {})
+            for t in tuples:
+                table[t] = table.get(t, 0) | 1 << i
+        return tables
 
     def to_json(self) -> dict:
         return {
@@ -98,30 +110,28 @@ def induced_substructure(structure, subset) -> RelationalStructure:
     return RelationalStructure(len(subset), tuple(relations))
 
 
-def _incidence(structure):
-    """Per relation: vertex -> tuples containing it.  Speeds up extension checks."""
-    out = []
-    for arity, tuples in structure.relations:
-        by_vertex = {}
-        for t in tuples:
-            for v in set(t):
-                by_vertex.setdefault(v, []).append(t)
-        out.append((arity, tuples, by_vertex))
-    return out
+def _tuples_through(pool, v, arity):
+    """Every tuple over pool of the given arity containing v, once each:
+    split at the first position holding v."""
+    others = [x for x in pool if x != v]
+    for j in range(arity):
+        for head in itertools.product(others, repeat=j):
+            for tail in itertools.product(pool, repeat=arity - j - 1):
+                yield head + (v,) + tail
 
 
 def _extension_consistent(source, target, domain, images, v, c):
-    """Can v -> c extend the partial map?  Both directions are checked on
-    every tuple over the assigned vertices that involves v."""
+    """Can v -> c extend the partial map?  Every tuple over the assigned
+    vertices that involves v must carry the same relation bitmask as its
+    image, which checks both directions of every relation at once."""
     assigned = dict(zip(domain, images))
     assigned[v] = c
     pool = list(assigned)
-    for (arity, src_tuples), (_, dst_tuples) in zip(source.relations, target.relations):
-        for t in itertools.product(pool, repeat=arity):
-            if v not in t:
-                continue
-            mapped = tuple(assigned[x] for x in t)
-            if (t in src_tuples) != (mapped in dst_tuples):
+    dst_tables = target.signature
+    for arity, src in source.signature.items():
+        dst = dst_tables[arity]
+        for t in _tuples_through(pool, v, arity):
+            if src.get(t, 0) != dst.get(tuple(assigned[x] for x in t), 0):
                 return False
     return True
 
@@ -228,17 +238,17 @@ def is_homogeneous(structure, vertex_cap=HOMOGENEITY_VERTEX_CAP):
                         orbit.add(img)
                         stack.append(img)
             seen |= orbit
+        induced = {s: induced_substructure(structure, s) for s in subsets}
         for src in reps:
             src_sorted = tuple(sorted(src))
-            sub_src = induced_substructure(structure, src_sorted)
             for dst in subsets:
                 dst_sorted = tuple(sorted(dst))
-                sub_dst = induced_substructure(structure, dst_sorted)
-                for iso in structure_isomorphisms(sub_src, sub_dst):
+                for iso in structure_isomorphisms(induced[src], induced[dst]):
                     image = tuple(dst_sorted[iso[i]] for i in range(size))
                     if not extends(src_sorted, image):
                         failing = dict(zip(src_sorted, image))
                         return False, failing
+        del induced  # free this size's substructures before the next size's
     return True, None
 
 

@@ -331,18 +331,28 @@ def run_criterion(number):
     raise ValueError(f"no criterion {number}")
 
 
-def run_all(numbers=None, echo=print):
+def run_all(numbers=None, echo=print, jobs=1):
+    """Run the selected criteria in list order, reporting each result
+    through echo as it arrives; jobs > 1 runs them in worker processes."""
+    wanted = [num for num, _, _ in CRITERIA if numbers is None or num in numbers]
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return _summarise(pool.map(run_criterion, wanted), echo)
+    return _summarise(map(run_criterion, wanted), echo)
+
+
+def _summarise(results, echo):
     summary = {"criteria": [], "all_passed": True}
-    for num, name, _ in CRITERIA:
-        if numbers is not None and num not in numbers:
-            continue
-        result = run_criterion(num)
+    for result in results:  # input order, never completion order
         summary["criteria"].append(result)
         if not result["passed"]:
             summary["all_passed"] = False
         if echo is not None:
             status = "PASS" if result["passed"] else "FAIL"
-            echo(f"{status} criterion {num} ({name}) [{result['seconds']}s]")
+            echo(f"{status} criterion {result['criterion']} ({result['name']})"
+                 f" [{result['seconds']}s]")
             if not result["passed"]:
                 for check in result["checks"]:
                     if not check["ok"]:

@@ -137,6 +137,21 @@ def test_verify_filter(capsys):
     assert "PASS criterion 1" in out
 
 
+@pytest.mark.parametrize("argv, numbers", [
+    (["--filter=1"], [1]),
+    (["--filter=1,2", "--jobs", "2"], [1, 2]),
+])
+def test_verify_json_stdout_parses(capsys, argv, numbers):
+    # the PASS lines go to stderr, so stdout is the JSON model alone
+    code = main(["verify", *argv, "--format=json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    data = json.loads(captured.out)
+    assert data["all_passed"] is True
+    assert [c["criterion"] for c in data["criteria"]] == numbers
+    assert "PASS criterion 1" in captured.err
+
+
 def test_verify_known_defect_exit(capsys, monkeypatch):
     # a failing criterion is reported with its expected/got lines and
     # makes verify exit 1

@@ -1,6 +1,9 @@
 """Relational structures, digraphs, homogeneity and the orbit structure."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relkit import catalog as cat
 from relkit.digraphs import (
@@ -117,6 +120,82 @@ def test_automorphism_group_cycles():
         assert digraph_automorphism_group(directed_cycle(n)).order() == n
 
 
+@st.composite
+def structures(draw, vertices=None, arities=None):
+    """A structure on at most 5 vertices with 1-3 relations of arity 2-3.
+    Relations may be empty, may overlap an earlier relation of the same
+    arity, and arities may interleave, e.g. (2, 3, 2)."""
+    n = draw(st.integers(1, 5)) if vertices is None else vertices
+    if arities is None:
+        arities = draw(st.lists(st.sampled_from((2, 3)), min_size=1, max_size=3))
+    relations = []
+    for arity in arities:
+        tuples = draw(st.sets(st.tuples(*[st.integers(0, n - 1)] * arity), max_size=10))
+        earlier = [t for a, t in relations if a == arity]
+        if earlier and draw(st.booleans()):
+            tuples |= draw(st.sampled_from(earlier))
+        relations.append((arity, tuples))
+    return RelationalStructure.build(n, relations)
+
+
+def relabeled(structure, images):
+    return RelationalStructure.build(structure.vertices, [
+        (arity, [tuple(images[v] for v in t) for t in tuples])
+        for arity, tuples in structure.relations
+    ])
+
+
+@st.composite
+def structure_pairs(draw):
+    """(source, target) with equal vertex count and arity sequence: the
+    target is a relabeled source, a relabeled source with one tuple
+    toggled, or an unrelated structure."""
+    source = draw(structures())
+    n, arities = source.vertices, source.arity_sequence()
+    kind = draw(st.sampled_from(("relabel", "toggle", "fresh")))
+    if kind == "fresh":
+        return source, draw(structures(vertices=n, arities=arities))
+    target = relabeled(source, draw(st.permutations(range(n))))
+    if kind == "toggle":
+        i = draw(st.integers(0, len(arities) - 1))
+        arity, tuples = target.relations[i]
+        t = draw(st.tuples(*[st.integers(0, n - 1)] * arity))
+        relations = list(target.relations)
+        relations[i] = (arity, tuples ^ {t})
+        target = RelationalStructure.build(n, relations)
+    return source, target
+
+
+def brute_isomorphisms(source, target):
+    """Bijections mapping every relation onto its counterpart, in
+    lexicographic order of the image tuples."""
+    return [
+        images for images in itertools.permutations(range(source.vertices))
+        if all({tuple(images[v] for v in t) for t in src} == dst
+               for (_, src), (_, dst) in zip(source.relations, target.relations))
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(structure_pairs())
+def test_isomorphisms_match_bruteforce(pair):
+    source, target = pair
+    assert list(structure_isomorphisms(source, target)) == brute_isomorphisms(source, target)
+
+
+@settings(max_examples=300, deadline=None)
+@given(structures())
+def test_automorphism_order_matches_bruteforce(structure):
+    assert automorphism_group(structure).order() == brute_automorphism_count(structure)
+
+
+def test_isomorphisms_need_equal_arity_sequences():
+    two_three = RelationalStructure.build(3, [(2, []), (3, [])])
+    three_two = RelationalStructure.build(3, [(3, []), (2, [])])
+    assert list(structure_isomorphisms(two_three, three_two)) == []
+    assert len(list(structure_isomorphisms(two_three, two_three))) == 6
+
+
 # -- homogeneity --------------------------------------------------------------------
 
 def test_homogeneous_complete_digraph():
@@ -132,6 +211,12 @@ def test_not_homogeneous_path():
     verdict, failing = is_homogeneous(path.to_structure())
     assert not verdict
     assert failing  # a non-extending isomorphism is reported
+
+
+def test_not_homogeneous_failing_map_directed_5_cycle():
+    # 0 and 2 are non-adjacent, so swapping them is an isomorphism of the
+    # induced substructure; no rotation swaps them
+    assert is_homogeneous(directed_cycle(5).to_structure()) == (False, {0: 2, 2: 0})
 
 
 def test_not_homogeneous_single_directed_edge():
@@ -263,6 +348,19 @@ def test_enumeration_n5_members():
     graphs = enumerate_homogeneous_digraphs(5)
     assert any(digraphs_isomorphic(g, undirected_cycle(5)) for g in graphs)
     assert not any(digraphs_isomorphic(g, directed_cycle(5)) for g in graphs)
+
+
+def test_enumeration_keeps_first_representative_in_mask_order():
+    # the first edge mask of each isomorphism class, over all 2^(n(n-1)) masks
+    n = 4
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    first = {}
+    for mask in range(1 << len(pairs)):
+        graph = Digraph.build(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        first.setdefault(canonical_form(graph), graph)
+    expected = [g for g in first.values() if is_homogeneous(g.to_structure())[0]]
+    expected.sort(key=lambda g: (len(g.edges), canonical_form(g)))
+    assert enumerate_homogeneous_digraphs(n) == expected
 
 
 def test_enumeration_cap():
