@@ -4,7 +4,7 @@ Subcommands: stats, rc, tests, closure, homog, catalog, verify.
 All output is built as one JSON-serializable model; --format=table
 renders the same model for humans.  Exit codes: 0 success, 1 a
 verification criterion failed, 2 input error, 3 caps exceeded under
---strict.
+--strict, 4 an internal invariant failed (a bug in relkit).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .errors import (
     CapExceeded,
     DegreeTooLarge,
     GroupTooLarge,
+    InternalInconsistency,
     ParseError,
     RelkitError,
     TooLarge,
@@ -51,6 +52,9 @@ def main(argv=None) -> int:
     except (TooLarge, DegreeTooLarge, GroupTooLarge, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if args.strict else 2
+    except InternalInconsistency as exc:
+        print(f"error: internal inconsistency: {exc}", file=sys.stderr)
+        return 4
     except RelkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -95,3 +95,7 @@ class CapExceeded(RelkitError):
 
 class ParseError(RelkitError):
     """An input file is malformed."""
+
+
+class InternalInconsistency(RelkitError):
+    """An internal invariant failed: a bug in relkit, not in the input."""

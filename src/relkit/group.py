@@ -25,6 +25,37 @@ from .perm import Permutation, format_permutation, parse_permutation
 DEGREE_CAP = 10**5
 
 
+def tuple_image(items, images):
+    """Image of a tuple (or any iterable) of points under a permutation
+    given by its image array."""
+    return tuple(map(images.__getitem__, items))
+
+
+def orbits_under(domain, generators, act):
+    """Yield (first item, orbit set) for each orbit that meets the domain,
+    in domain order; act(x, g) is the image of x under generator g.
+
+    Over a lexicographically ordered domain each orbit's first item is
+    its minimum.  An orbit may leave the domain; its items outside it
+    are still in the set.
+    """
+    seen = set()
+    for start in domain:
+        if start in seen:
+            continue
+        orbit = {start}
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for g in generators:
+                y = act(x, g)
+                if y not in orbit:
+                    orbit.add(y)
+                    stack.append(y)
+        seen |= orbit
+        yield start, orbit
+
+
 class PermutationGroup:
     def __init__(self, degree: int, generators, base_prefix=(), _order=None):
         if degree < 1:

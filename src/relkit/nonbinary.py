@@ -17,6 +17,7 @@ from .closure import k_closure
 from .errors import (
     DegreeTooLarge,
     GroupTooLarge,
+    InternalInconsistency,
     NotFrobenius,
     NotNormal,
     NotTransitive,
@@ -25,7 +26,7 @@ from .errors import (
     AbelianInput,
     NoValidPair,
 )
-from .group import PermutationGroup
+from .group import PermutationGroup, orbits_under, tuple_image
 from .perm import Permutation, format_permutation
 from .relcomp import TuplePair, orbit_equivalent, relational_complexity, subtuple_complete
 
@@ -250,7 +251,8 @@ def _orbit_count_elements(group, ell) -> int:
             term *= f - i
         total += term
     order = group.order()
-    assert total % order == 0, "orbit-counting sum must divide evenly"
+    if total % order:
+        raise InternalInconsistency("orbit-counting sum must divide evenly")
     return total // order
 
 
@@ -259,24 +261,9 @@ def _orbit_count_tuples(group, ell) -> int:
     n = group.degree
     if ell > n:
         return 0
-    count = 0
-    seen = set()
     gens = [g.images for g in group.generators]
-    for start in itertools.permutations(range(n), ell):
-        if start in seen:
-            continue
-        count += 1
-        orbit = {start}
-        stack = [start]
-        while stack:
-            t = stack.pop()
-            for g in gens:
-                u = tuple(g[x] for x in t)
-                if u not in orbit:
-                    orbit.add(u)
-                    stack.append(u)
-        seen |= orbit
-    return count
+    domain = itertools.permutations(range(n), ell)
+    return sum(1 for _ in orbits_under(domain, gens, tuple_image))
 
 
 def _cyclic_conjugate(group, g, h):
@@ -323,7 +310,8 @@ def test1_character_bound(group, ell_max=5) -> TestOutcome:
         if use_elements and use_tuples:
             by_elements = _orbit_count_elements(group, ell)
             by_tuples = _orbit_count_tuples(group, ell)
-            assert by_elements == by_tuples, "orbit-count routes disagree"
+            if by_elements != by_tuples:
+                raise InternalInconsistency("orbit-count routes disagree")
             return by_elements
         if use_elements:
             return _orbit_count_elements(group, ell)
@@ -365,7 +353,8 @@ def full_tuple_pair(group, sigma, k) -> TuplePair:
     I = tuple(range(n))
     J = sigma.apply_tuple(I)
     result = subtuple_complete(group, I, J, k)
-    assert result, "closure element must give a k-subtuple-complete pair"
+    if not result:
+        raise InternalInconsistency("closure element must give a k-subtuple-complete pair")
     return TuplePair(
         I=I,
         J=J,
@@ -450,7 +439,10 @@ def test4_suborbits(group, **rc_caps) -> TestOutcome:
             I = (alpha,) + tuple(lift[p] for p in witness.I)
             J = (alpha,) + tuple(lift[p] for p in witness.J)
             result = subtuple_complete(group, I, J, 2)
-            assert result, "lifted suborbit witness must stay 2-subtuple complete"
+            if not result:
+                raise InternalInconsistency(
+                    "lifted suborbit witness must stay 2-subtuple complete"
+                )
             pair = TuplePair(
                 I=I, J=J, completeness_level=2,
                 transporters=result.certificates, equivalent=False,
@@ -486,21 +478,11 @@ def _test5_scan(group, p, p_elements, allow_fixed_point_drop=True) -> TestOutcom
     )
     max_fix = max((len(g.fixed_points()) for g in p_elements), default=0)
     # conjugation classes of p-elements, grown under the generators
+    conjugators = [(s.inverse(), s) for s in group.generators]
     class_of = {}
     reps = []
-    for g in p_elements:
-        if g in class_of:
-            continue
+    for g, orbit in orbits_under(p_elements, conjugators, lambda x, c: c[0] * x * c[1]):
         reps.append(g)
-        orbit = {g}
-        stack = [g]
-        while stack:
-            x = stack.pop()
-            for s in group.generators:
-                y = s.inverse() * x * s
-                if y not in orbit:
-                    orbit.add(y)
-                    stack.append(y)
         for x in orbit:
             class_of[x] = g
     for g in reps:
@@ -831,7 +813,8 @@ def check_beautiful(group, normal_subgroup, lam) -> TestOutcome:
     J = (lam[1], lam[0]) + tuple(lam[2:])
     result = subtuple_complete(group, I, J, 2)
     equivalent = orbit_equivalent(group, I, J)
-    assert result and not equivalent, "beautiful subset must yield a witness pair"
+    if not result or equivalent:
+        raise InternalInconsistency("beautiful subset must yield a witness pair")
     pair = TuplePair(I=I, J=J, completeness_level=2,
                      transporters=result.certificates, equivalent=False)
     cert = BeautifulSubsetCertificate(tuple(lam), induced.order(), pair)
@@ -919,7 +902,8 @@ def holomorph_like_action(T: PermutationGroup, size_cap=360):
     if all(a * b == b * a for a in T.generators for b in T.generators):
         raise AbelianInput("diagonal-type construction needs a nonabelian group")
     elements = sorted(T.elements(), key=lambda g: g.images)
-    assert elements[0].is_identity(), "identity must be the first element"
+    if not elements[0].is_identity():
+        raise InternalInconsistency("identity must be the first element")
     index = {g: i for i, g in enumerate(elements)}
     n = len(elements)
     gens = []
@@ -974,7 +958,8 @@ def diagonal_patch_witness(T: PermutationGroup, size_cap=360) -> TestOutcome:
             src = tuple(I[i] for i in subset)
             dst = tuple(J[i] for i in subset)
             found = next((w for w in witnesses if w.apply_tuple(src) == dst), None)
-            assert found is not None, "stated conjugations must certify 2-completeness"
+            if found is None:
+                raise InternalInconsistency("stated conjugations must certify 2-completeness")
             transporters[subset] = found
         # the 4-subtuple failure is a genuine check: inversion composed
         # with a conjugation can defeat it in small non-simple cases
@@ -986,7 +971,8 @@ def diagonal_patch_witness(T: PermutationGroup, size_cap=360) -> TestOutcome:
             "diagonal_patch", NOT_BINARY, WitnessPairCertificate(pair),
             {"degree": n, "a": format_permutation(a), "b": format_permutation(b)},
         )
-        assert outcome.verify(action), "diagonal certificate must re-validate"
+        if not outcome.verify(action):
+            raise InternalInconsistency("diagonal certificate must re-validate")
         return outcome
     return TestOutcome(
         "diagonal_patch", INCONCLUSIVE, None,

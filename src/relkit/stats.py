@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DegreeTooLarge
+from .errors import DegreeTooLarge, InternalInconsistency
 from .group import PermutationGroup
 from .relcomp import TuplePair, relational_complexity
 from .search import StabilizerLattice, canonical_prefixes
@@ -64,7 +64,8 @@ def base_height_profile(group: PermutationGroup, degree_cap=STATS_DEGREE_CAP):
             h, h_wit = depth, points
         if trivial and depth > big_b and lattice.is_independent(fset):
             big_b, big_b_wit = depth, points
-    assert b is not None, "faithful action must admit a base"
+    if b is None:
+        raise InternalInconsistency("faithful action must admit a base")
     return BaseHeightProfile(b, b_wit, big_b, big_b_wit, h, h_wit, irr, irr_wit)
 
 
@@ -166,6 +167,7 @@ def _check_chain(report: StatisticsReport):
     t = report.degree
     bound = report.b * max(1, math.ceil(math.log2(t))) if t > 1 else 0
     ok = report.b <= report.B <= report.H <= report.I <= bound if t > 1 else True
-    assert ok, f"statistic chain violated: {report}"
-    if report.rc is not None and report.order > 1:
-        assert report.rc <= report.H + 1, f"RC exceeds height+1: {report}"
+    if not ok:
+        raise InternalInconsistency(f"statistic chain violated: {report}")
+    if report.rc is not None and report.order > 1 and report.rc > report.H + 1:
+        raise InternalInconsistency(f"RC exceeds height+1: {report}")

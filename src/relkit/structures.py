@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ArityTooLarge, CapExceeded, ParseError, TooLarge, VertexOutOfRange
-from .group import PermutationGroup
+from .group import PermutationGroup, orbits_under, tuple_image
 from .perm import Permutation
 
 HOMOGENEITY_VERTEX_CAP = 10
@@ -75,13 +75,33 @@ class RelationalStructure:
     def from_json(data) -> "RelationalStructure":
         if not isinstance(data, dict) or "vertices" not in data:
             raise ParseError("structure file needs a 'vertices' field")
+        vertices = _json_int(data["vertices"], "'vertices'")
         if "edges" in data:  # digraph shorthand
-            edges = [tuple(e) for e in data["edges"]]
-            return RelationalStructure.build(data["vertices"], [(2, edges)])
-        rels = []
-        for rel in data.get("relations", []):
-            rels.append((rel["arity"], [tuple(t) for t in rel["tuples"]]))
-        return RelationalStructure.build(data["vertices"], rels)
+            relations = [{"arity": 2, "tuples": data["edges"]}]
+        else:
+            relations = _json_list(data.get("relations", []), "'relations'")
+        parsed = []
+        for rel in relations:
+            if not isinstance(rel, dict) or "arity" not in rel or "tuples" not in rel:
+                raise ParseError("each relation needs 'arity' and 'tuples' fields")
+            rows = _json_list(rel["tuples"], "a relation's tuples")
+            tuples = [tuple(_json_list(t, "a tuple")) for t in rows]
+            for v in itertools.chain.from_iterable(tuples):
+                _json_int(v, "a vertex")
+            parsed.append((_json_int(rel["arity"], "an arity"), tuples))
+        return RelationalStructure.build(vertices, parsed)
+
+
+def _json_int(value, what):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _json_list(value, what):
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a list, not {value!r}")
+    return value
 
 
 def load_structure(path) -> RelationalStructure:
@@ -162,9 +182,15 @@ def structure_isomorphisms(source, target):
     yield from rec([], [], set())
 
 
-def automorphism_group(structure) -> PermutationGroup:
+def automorphism_group(structure, generators=()) -> PermutationGroup:
     """Aut as a permutation group, by transversal harvesting: for each level
-    d, find one automorphism fixing 0..d-1 per new orbit point of d."""
+    d, find one automorphism fixing 0..d-1 per new orbit point of d.
+
+    The harvest starts from the given automorphisms and lists them first
+    among the generators.  One chain of the group found so far, on base
+    0..n-1, gives every level's known orbit: its transversal at d is the
+    orbit of d under the stabilizer of 0..d-1.
+    """
     n = structure.vertices
     if n == 0:
         raise VertexOutOfRange("empty structure has no automorphism group")
@@ -183,22 +209,20 @@ def automorphism_group(structure) -> PermutationGroup:
                 return result
         return None
 
-    known = PermutationGroup(n, [])
+    known = PermutationGroup(n, generators, base_prefix=range(n))
     for d in range(n - 1, -1, -1):
         prefix = list(range(d))
-        stab = known.pointwise_stabilizer(prefix) if d else known
-        reached = set(stab.orbit(d))
         for c in range(d, n):
-            if c in reached:
+            if c in known.chain.transversal(d):
                 continue
             if not _extension_consistent(structure, structure, prefix, prefix, d, c):
                 continue
             sigma = extend_one(prefix + [d], prefix + [c], set(prefix) | {c})
             if sigma is not None:
-                known = PermutationGroup(n, list(known.generators) + [sigma])
-                stab = known.pointwise_stabilizer(prefix) if d else known
-                reached = set(stab.orbit(d))
-    return known
+                known = PermutationGroup(n, known.generators + (sigma,), base_prefix=range(n))
+    # drop the base prefix: the returned group's chain, and so the order of
+    # its elements(), is the one built from the generators alone
+    return PermutationGroup(n, known.generators, _order=known.order())
 
 
 def is_homogeneous(structure, vertex_cap=HOMOGENEITY_VERTEX_CAP):
@@ -213,6 +237,7 @@ def is_homogeneous(structure, vertex_cap=HOMOGENEITY_VERTEX_CAP):
         raise TooLarge(f"homogeneity test capped at {vertex_cap} vertices")
     aut = automorphism_group(structure)
     aut_chain_cache = {}
+    gens = [g.images for g in aut.generators]
 
     def extends(src_tuple, dst_tuple):
         key = src_tuple
@@ -222,22 +247,10 @@ def is_homogeneous(structure, vertex_cap=HOMOGENEITY_VERTEX_CAP):
 
     for size in range(1, n):
         subsets = [frozenset(c) for c in itertools.combinations(range(n), size)]
-        seen = set()
-        reps = []
-        for s in subsets:
-            if s in seen:
-                continue
-            reps.append(s)
-            stack = [s]
-            orbit = {s}
-            while stack:
-                cur = stack.pop()
-                for g in aut.generators:
-                    img = frozenset(g(v) for v in cur)
-                    if img not in orbit:
-                        orbit.add(img)
-                        stack.append(img)
-            seen |= orbit
+        subset_orbits = orbits_under(
+            subsets, gens, lambda subset, images: frozenset(tuple_image(subset, images))
+        )
+        reps = [s for s, _ in subset_orbits]
         induced = {s: induced_substructure(structure, s) for s in subsets}
         for src in reps:
             src_sorted = tuple(sorted(src))
@@ -265,24 +278,10 @@ def canonical_structure(group, s) -> RelationalStructure:
     gens = [g.images for g in group.generators]
     relations = []
     for arity in range(2, s + 1):
-        seen = set()
-        orbits = []
-        for start in itertools.product(range(n), repeat=arity):
-            if start in seen:
-                continue
-            orbit = {start}
-            stack = [start]
-            while stack:
-                t = stack.pop()
-                for g in gens:
-                    u = tuple(g[x] for x in t)
-                    if u not in orbit:
-                        orbit.add(u)
-                        stack.append(u)
-            seen |= orbit
-            orbits.append((min(orbit), orbit))
-        orbits.sort(key=lambda pair: pair[0])
-        relations.extend((arity, frozenset(orbit)) for _, orbit in orbits)
+        domain = itertools.product(range(n), repeat=arity)
+        relations.extend(
+            (arity, frozenset(orbit)) for _, orbit in orbits_under(domain, gens, tuple_image)
+        )
     return RelationalStructure(n, tuple(relations))
 
 

@@ -1,6 +1,11 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -99,6 +104,19 @@ def test_homog_structure_file(capsys, tmp_path):
     assert data["homogeneous"] is True and data["automorphism_order"] == 10
 
 
+@pytest.mark.parametrize("data", [
+    {"vertices": 3, "relations": [{"tuples": [[0, 1]]}]},
+    {"vertices": 3, "relations": [{"arity": 2, "tuples": 5}]},
+    {"vertices": "x", "relations": [{"arity": 2, "tuples": [[0, 1]]}]},
+    {"vertices": 3, "relations": [{"arity": 2, "tuples": [[0, 1.5]]}]},
+], ids=["no-arity", "tuples-not-list", "vertices-not-int", "vertex-not-int"])
+def test_homog_malformed_structure_is_parse_error(capsys, tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["homog", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_catalog_list_and_build(capsys, tmp_path):
     code, out = run(capsys, "catalog", "list", "--format=json")
     assert code == 0
@@ -117,6 +135,40 @@ def test_parse_error_exit_code(capsys, tmp_path):
     missing_field = tmp_path / "missing.json"
     missing_field.write_text('{"foo": 1}')
     assert main(["stats", str(missing_field)]) == 2
+
+
+def test_internal_inconsistency_exit_code(capsys, s4_file, monkeypatch):
+    from relkit import stats
+
+    # b > B breaks the statistic chain b <= B <= H <= I
+    broken = stats.BaseHeightProfile(3, (0, 1, 2), 1, (0,), 3, (0, 1, 2), 3, (0, 1, 2))
+    monkeypatch.setattr(stats, "base_height_profile", lambda group: broken)
+    code = main(["stats", s4_file, "--format=json"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+        captured.err.strip()
+    ]
+
+
+def test_invariant_checks_survive_python_O():
+    code = textwrap.dedent("""
+        from relkit.errors import InternalInconsistency
+        from relkit.stats import StatisticsReport, _check_chain
+        report = StatisticsReport(order=24, degree=4, transitive=True, primitive=True,
+                                  rc=2, rc_witness=None, b=3, b_witness=(), B=1,
+                                  B_witness=(), H=3, H_witness=(), I=3, I_witness=())
+        try:
+            _check_chain(report)
+        except InternalInconsistency:
+            print("raised")
+    """)
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "raised"
 
 
 def test_cache_flag_is_rejected(capsys, tmp_path, s4_file, monkeypatch):

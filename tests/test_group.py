@@ -1,5 +1,6 @@
 """Groups, chains, orbits, transporters, stabilizers, primitivity."""
 
+import itertools
 import json
 
 import pytest
@@ -12,7 +13,14 @@ from relkit.errors import (
     ParseError,
     PointOutOfRange,
 )
-from relkit.group import PermutationGroup, group_from_json, load_group, dump_group
+from relkit.group import (
+    PermutationGroup,
+    dump_group,
+    group_from_json,
+    load_group,
+    orbits_under,
+    tuple_image,
+)
 from relkit.oracle import brute_order, brute_transporter, mulclose
 from relkit.perm import Permutation, parse_permutation
 
@@ -370,3 +378,18 @@ def test_sift_products_of_generators(cycles):
     if len(gens) >= 2:
         assert group.contains(gens[0] * gens[1])
         assert group.contains(gens[1] * gens[0] * gens[1].inverse())
+
+
+def test_orbits_under_partitions_in_domain_order():
+    g = G(6, "(1 2 3)", "(4 5)")
+    gens = [p.images for p in g.generators]
+    pairs = list(itertools.product(range(6), repeat=2))
+    for domain in (pairs, pairs[::-1]):
+        orbits = list(orbits_under(domain, gens, tuple_image))
+        firsts = [first for first, _ in orbits]
+        assert firsts == sorted(firsts, key=domain.index)
+        assert all(first == min(orbit, key=domain.index) for first, orbit in orbits)
+        assert sorted(t for _, orbit in orbits for t in orbit) == pairs
+        # point orbits A = {0,1,2}, B = {3,4}, C = {5}: three orbits on A x A,
+        # two on B x B, one on each of the seven other products
+        assert len(orbits) == 3 + 2 + 7
