@@ -7,6 +7,7 @@ which the closure always contains.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 from .errors import DegreeTooLarge
 from .group import PermutationGroup, orbits_under, tuple_image
@@ -20,7 +21,8 @@ class OrbitalColoring:
 
     Diagonal tuples are included, so for k=2 the vertex orbits appear as
     colors of (a, a) pairs.  Colors are numbered by orbit minimum, and
-    classes[i] is the orbit of color i.
+    classes[i] is the orbit of color i, a frozenset; the color map is
+    built on first use.
     """
 
     def __init__(self, group: PermutationGroup, k: int):
@@ -28,9 +30,16 @@ class OrbitalColoring:
         self.k = k
         gens = [g.images for g in group.generators]
         domain = itertools.product(range(self.degree), repeat=k)
-        self.classes = [orbit for _, orbit in orbits_under(domain, gens, tuple_image)]
-        self.color = {t: i for i, orbit in enumerate(self.classes) for t in orbit}
-        self.count = len(self.classes)
+        orbits = orbits_under(domain, gens, tuple_image)
+        self.classes = [frozenset(orbit) for _, orbit in orbits]
+
+    @cached_property
+    def color(self) -> dict:
+        return {t: i for i, orbit in enumerate(self.classes) for t in orbit}
+
+    @property
+    def count(self) -> int:
+        return len(self.classes)
 
 
 def k_closure(group: PermutationGroup, k: int) -> PermutationGroup:
@@ -42,5 +51,5 @@ def k_closure(group: PermutationGroup, k: int) -> PermutationGroup:
     if n > CLOSURE_DEGREE_CAP:
         raise DegreeTooLarge(f"degree {n} exceeds closure cap {CLOSURE_DEGREE_CAP}")
     classes = OrbitalColoring(group, k).classes
-    structure = RelationalStructure(n, tuple((k, frozenset(c)) for c in classes))
+    structure = RelationalStructure(n, tuple((k, c) for c in classes))
     return automorphism_group(structure, group.generators)

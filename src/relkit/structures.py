@@ -53,13 +53,14 @@ class RelationalStructure:
 
     @cached_property
     def signature(self) -> dict:
-        """Per arity: tuple -> bitmask of the relation positions holding it
-        (bit i for relation i); a tuple in no relation is absent."""
+        """Per arity: tuple -> ascending tuple of the positions of the
+        relations holding it; a tuple in no relation is absent."""
         tables = {}
         for i, (arity, tuples) in enumerate(self.relations):
             table = tables.setdefault(arity, {})
+            alone = (i,)  # () + alone is alone itself: disjoint relations share it
             for t in tuples:
-                table[t] = table.get(t, 0) | 1 << i
+                table[t] = table.get(t, ()) + alone
         return tables
 
     def to_json(self) -> dict:
@@ -142,7 +143,7 @@ def _tuples_through(pool, v, arity):
 
 def _extension_consistent(source, target, domain, images, v, c):
     """Can v -> c extend the partial map?  Every tuple over the assigned
-    vertices that involves v must carry the same relation bitmask as its
+    vertices that involves v must lie in the same relations as its
     image, which checks both directions of every relation at once."""
     assigned = dict(zip(domain, images))
     assigned[v] = c
@@ -151,7 +152,7 @@ def _extension_consistent(source, target, domain, images, v, c):
     for arity, src in source.signature.items():
         dst = dst_tables[arity]
         for t in _tuples_through(pool, v, arity):
-            if src.get(t, 0) != dst.get(tuple(assigned[x] for x in t), 0):
+            if src.get(t, ()) != dst.get(tuple(assigned[x] for x in t), ()):
                 return False
     return True
 

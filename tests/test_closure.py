@@ -2,6 +2,7 @@
 closure generators, which test 2's certificate depends on."""
 
 import itertools
+import tracemalloc
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -63,3 +64,19 @@ def test_psl2_11_two_closure_generators_are_pinned():
         "(1 12)(2 11)(3 6)(4 8)(5 9)(7 10)",
         "(11 12)",
     ]
+
+
+def test_closure_memory_is_linear_in_the_tuple_count():
+    """The trivial group has one orbit per k-tuple, so its orbit coloring
+    is the largest the closure sees.  The memory per tuple must not grow
+    with the number of orbits."""
+
+    def peak_per_tuple(n):
+        tracemalloc.start()
+        try:
+            k_closure(PermutationGroup(n, []), 3)
+            return tracemalloc.get_traced_memory()[1] / n**3
+        finally:
+            tracemalloc.stop()
+
+    assert peak_per_tuple(32) < 1.5 * peak_per_tuple(16)
