@@ -12,7 +12,13 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .errors import AbelianInput, BadParameter, DegreeTooLarge, GroupTooLarge
+from .errors import (
+    AbelianInput,
+    BadParameter,
+    DegreeTooLarge,
+    GroupTooLarge,
+    InternalInconsistency,
+)
 from .group import PermutationGroup
 from .perm import Permutation
 
@@ -31,8 +37,8 @@ class CatalogEntry:
     notes: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.expected_order is not None:
-            assert self.group.order() == self.expected_order, (
+        if self.expected_order is not None and self.group.order() != self.expected_order:
+            raise InternalInconsistency(
                 f"{self.label}: order {self.group.order()} != expected {self.expected_order}"
             )
 
@@ -343,7 +349,8 @@ def affine_orthogonal(q, dim) -> CatalogEntry:
                     for y in range(q)
                 )
             )
-    assert len(isometries) == 2 * (q + 1), "minus-type isometry group has order 2(q+1)"
+    if len(isometries) != 2 * (q + 1):
+        raise InternalInconsistency("minus-type isometry group has order 2(q+1)")
     group = PermutationGroup(degree, translations + isometries)
     return CatalogEntry(
         name="affine_orthogonal",

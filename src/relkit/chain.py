@@ -26,6 +26,25 @@ from __future__ import annotations
 from .perm import Permutation
 
 
+def schreier_tree(point, generators, identity):
+    """Orbit of point with, per orbit point b, a word u in the generators
+    mapping point to b; grown breadth-first in insertion order, each new
+    point b = c^g getting u_b = u_c * g."""
+    reps = {point: identity}
+    queue = [point]
+    while queue:
+        nxt = []
+        for a in queue:
+            u = reps[a]
+            for g in generators:
+                b = g(a)
+                if b not in reps:
+                    reps[b] = u * g
+                    nxt.append(b)
+        queue = nxt
+    return reps
+
+
 class _Level:
     __slots__ = ("point", "transversal", "added")
 
@@ -77,21 +96,9 @@ class StabilizerChain:
 
     def _rebuild_transversal(self, i: int):
         level = self._levels[i]
-        gens = self._gens_at(i)
-        ident = Permutation.identity(self.degree)
-        trans = {level.point: ident}
-        queue = [level.point]
-        while queue:
-            nxt = []
-            for b in queue:
-                u = trans[b]
-                for g in gens:
-                    c = g(b)
-                    if c not in trans:
-                        trans[c] = u * g
-                        nxt.append(c)
-            queue = nxt
-        level.transversal = trans
+        level.transversal = schreier_tree(
+            level.point, self._gens_at(i), Permutation.identity(self.degree)
+        )
 
     def _complete(self, order):
         """Fixpoint loop: process the deepest dirty level first.

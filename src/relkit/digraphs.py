@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import BadParameter, TooLarge, VertexOutOfRange
+from .errors import BadParameter, InternalInconsistency, TooLarge, VertexOutOfRange
 from .structures import RelationalStructure, automorphism_group, is_homogeneous
 
 
@@ -160,7 +160,8 @@ def sporadic_h2() -> Digraph:
                 edges.add((v, wp))
                 changed = True
     graph = Digraph.build(12, edges)
-    assert len(graph.edges) == 60, "mate completion must reach 60 directed edges"
+    if len(graph.edges) != 60:
+        raise InternalInconsistency("mate completion must reach 60 directed edges")
     return graph
 
 

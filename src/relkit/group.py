@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import threading
 
-from .chain import StabilizerChain
+from .chain import StabilizerChain, schreier_tree
 from .errors import (
     DegreeMismatch,
     DegreeTooLarge,
@@ -143,19 +143,7 @@ class PermutationGroup:
     def orbit_transporter(self, p: int):
         """Orbit of p with, per point, an element mapping p there."""
         self._check_point(p)
-        reps = {p: self.identity()}
-        queue = [p]
-        while queue:
-            nxt = []
-            for a in queue:
-                u = reps[a]
-                for g in self.generators:
-                    b = g(a)
-                    if b not in reps:
-                        reps[b] = u * g
-                        nxt.append(b)
-            queue = nxt
-        return reps
+        return schreier_tree(p, self.generators, self.identity())
 
     def orbits(self):
         """All orbits, ordered by their minimum point."""

@@ -11,10 +11,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .closure import k_closure
 from .errors import (
+    BadParameter,
     DegreeTooLarge,
     GroupTooLarge,
     InternalInconsistency,
@@ -239,18 +241,9 @@ def _elements(group):
     return group.elements()
 
 
-def _orbit_count_elements(group, ell) -> int:
-    """r_ell by the fixed-point (Burnside) sum over all elements."""
-    total = 0
-    for g in _elements(group):
-        f = len(g.fixed_points())
-        if f < ell:
-            continue
-        term = 1
-        for i in range(ell):
-            term *= f - i
-        total += term
-    order = group.order()
+def _orbit_count_fixed(fixed, order, ell) -> int:
+    """r_ell by the Burnside sum over a histogram of fixed-point counts."""
+    total = sum(count * math.perm(f, ell) for f, count in fixed.items())
     if total % order:
         raise InternalInconsistency("orbit-counting sum must divide evenly")
     return total // order
@@ -264,6 +257,16 @@ def _orbit_count_tuples(group, ell) -> int:
     gens = [g.images for g in group.generators]
     domain = itertools.permutations(range(n), ell)
     return sum(1 for _ in orbits_under(domain, gens, tuple_image))
+
+
+def _complete_pair(group, I, J, k):
+    """(I, J) as a non-equivalent TuplePair with its per-subset transporters,
+    or None when some k-subset of positions has no transporter."""
+    result = subtuple_complete(group, I, J, k)
+    if not result:
+        return None
+    return TuplePair(I=I, J=J, completeness_level=k,
+                     transporters=result.certificates, equivalent=False)
 
 
 def _cyclic_conjugate(group, g, h):
@@ -302,19 +305,23 @@ def test1_character_bound(group, ell_max=5) -> TestOutcome:
     if not group.is_transitive():
         raise NotTransitive("test 1 requires a transitive group")
     ell_max = min(ell_max, 5, group.degree)
-    use_elements = group.order() <= ELEMENT_ENUM_CAP
+    order = group.order()
+    # one pass over the elements serves every ell
+    fixed = None
+    if order <= ELEMENT_ENUM_CAP:
+        fixed = Counter(len(g.fixed_points()) for g in group.elements())
     tuple_budget = 400_000
 
     def r(ell):
-        use_tuples = _perm_count(group.degree, ell) <= tuple_budget
-        if use_elements and use_tuples:
-            by_elements = _orbit_count_elements(group, ell)
+        use_tuples = math.perm(group.degree, ell) <= tuple_budget
+        if fixed is not None and use_tuples:
+            by_elements = _orbit_count_fixed(fixed, order, ell)
             by_tuples = _orbit_count_tuples(group, ell)
             if by_elements != by_tuples:
                 raise InternalInconsistency("orbit-count routes disagree")
             return by_elements
-        if use_elements:
-            return _orbit_count_elements(group, ell)
+        if fixed is not None:
+            return _orbit_count_fixed(fixed, order, ell)
         if use_tuples:
             return _orbit_count_tuples(group, ell)
         return None  # neither route affordable at this length
@@ -337,13 +344,6 @@ def test1_character_bound(group, ell_max=5) -> TestOutcome:
     return TestOutcome("test1", INCONCLUSIVE, None, {"counts": counts})
 
 
-def _perm_count(n, k):
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
-
-
 # -- Test 2: strongly non-k-ary via k-closure ---------------------------
 
 
@@ -351,17 +351,10 @@ def full_tuple_pair(group, sigma, k) -> TuplePair:
     """The strongly-non-k-ary witness induced by a closure element."""
     n = group.degree
     I = tuple(range(n))
-    J = sigma.apply_tuple(I)
-    result = subtuple_complete(group, I, J, k)
-    if not result:
+    pair = _complete_pair(group, I, sigma.apply_tuple(I), k)
+    if pair is None:
         raise InternalInconsistency("closure element must give a k-subtuple-complete pair")
-    return TuplePair(
-        I=I,
-        J=J,
-        completeness_level=k,
-        transporters=result.certificates,
-        equivalent=False,
-    )
+    return pair
 
 
 def test2_strongly_non_k_ary(group, k=2) -> TestOutcome:
@@ -438,15 +431,11 @@ def test4_suborbits(group, **rc_caps) -> TestOutcome:
             lift = {i: lam[i] for i in range(len(lam))}
             I = (alpha,) + tuple(lift[p] for p in witness.I)
             J = (alpha,) + tuple(lift[p] for p in witness.J)
-            result = subtuple_complete(group, I, J, 2)
-            if not result:
+            pair = _complete_pair(group, I, J, 2)
+            if pair is None:
                 raise InternalInconsistency(
                     "lifted suborbit witness must stay 2-subtuple complete"
                 )
-            pair = TuplePair(
-                I=I, J=J, completeness_level=2,
-                transporters=result.certificates, equivalent=False,
-            )
             return TestOutcome(
                 "test4", NOT_BINARY, WitnessPairCertificate(pair),
                 {"suborbit_size": len(orbit), "suborbit_rc": rc},
@@ -457,22 +446,43 @@ def test4_suborbits(group, **rc_caps) -> TestOutcome:
 # -- Test 5: special primes ------------------------------------------------
 
 
-def test5_special_primes(group, p, exhaustive_cap=10**5, sample_trials=1000, seed=0) -> TestOutcome:
-    """Elementary abelian p^2 configurations (two rules, see certificates)."""
+def test5_special_primes(group, p=None, exhaustive_cap=10**5, sample_trials=1000, seed=0) -> TestOutcome:
+    """Elementary abelian p^2 configurations (two rules, see certificates).
+
+    Tries p, or else every prime dividing |G| in ascending order, and
+    stops at the first NotBinary; otherwise the last prime's outcome
+    stands.  Up to exhaustive_cap one pass over the elements collects the
+    elements of each prime order, in enumeration order.
+    """
+    if p is not None and _prime_divisors(p) != [p]:
+        raise BadParameter(f"{p} is not a prime")
+    order = group.order()
+    primes = _prime_divisors(order) if p is None else [p]
+    if not primes:
+        return TestOutcome("test5", INCONCLUSIVE, None, {"reason": "trivial group"})
     if not group.is_transitive():
         raise NotTransitive("test 5 requires a transitive group")
-    order = group.order()
-    if order % p != 0:
+    if p is not None and order % p != 0:
         raise PrimeDoesNotDivide(f"{p} does not divide the group order {order}")
     if order <= exhaustive_cap:
-        p_elements = [g for g in group.elements() if g.order() == p]
-        return _test5_scan(group, p, p_elements)
-    return _test5_sampled(group, p, sample_trials, seed)
+        p_elements = {q: [] for q in primes}
+        for g in group.elements():
+            found = p_elements.get(g.order())
+            if found is not None:
+                found.append(g)
+    for q in primes:
+        if order <= exhaustive_cap:
+            outcome = _test5_scan(group, q, p_elements[q])
+        else:
+            outcome = _test5_sampled(group, q, sample_trials, seed)
+        if outcome.not_binary:
+            break
+    return outcome
 
 
 def _test5_scan(group, p, p_elements, allow_fixed_point_drop=True) -> TestOutcome:
     degree = group.degree
-    stab_order = group.order() // len(group.orbit(0)) if group.is_transitive() else 0
+    stab_order = group.order() // degree  # the group is transitive
     rule1_applicable = (
         degree % p == 0 and stab_order % p == 0 and stab_order % (p * p) != 0
     )
@@ -523,7 +533,6 @@ def _test5_sampled(group, p, trials, seed) -> TestOutcome:
     base_count = len(group.chain.base)
 
     def random_element():
-        targets = []
         g = group.identity()
         for i in range(base_count):
             trans = group.chain.transversal(i)
@@ -587,6 +596,8 @@ def test6_trivial_two_point(group, trials=DEFAULT_TEST6_TRIALS, seed=DEFAULT_TES
     if stab0.order() > ELEMENT_ENUM_CAP:
         return TestOutcome("test6", INCONCLUSIVE, None, {"reason": "point stabilizer too large"})
     m_elements = [g for g in stab0.elements() if not g.is_identity()]
+    # |G_{w0,w1}| = |G_w0| / |w1^{G_w0}|: trivial exactly on the regular orbits
+    regular = {w for orbit in stab0.orbits() if len(orbit) == stab0.order() for w in orbit}
     rng = random.Random(seed)
     tried = set()
     stab_cache = {}
@@ -601,7 +612,7 @@ def test6_trivial_two_point(group, trials=DEFAULT_TEST6_TRIALS, seed=DEFAULT_TES
         if (w1, w2) in tried:
             continue
         tried.add((w1, w2))
-        if group.pointwise_stabilizer_order([w0, w1]) != 1:
+        if w1 not in regular:
             continue
         if w2 not in stab_cache:
             stab_cache[w2] = group.pointwise_stabilizer([w2])
@@ -652,7 +663,8 @@ def _frobenius_complement_order(group) -> int:
     """Complement order if the action is Frobenius, else NotFrobenius.
 
     Two-point stabilizers are checked on representatives (0, one beta per
-    stabilizer orbit), which covers all pairs by transitivity.
+    stabilizer orbit), which covers all pairs by transitivity; G_{0,beta}
+    is trivial exactly when beta's orbit under G_0 is as long as |G_0|.
     """
     if not group.is_transitive():
         raise NotTransitive("Frobenius detection requires a transitive group")
@@ -663,7 +675,7 @@ def _frobenius_complement_order(group) -> int:
         beta = orbit[0]
         if beta == 0:
             continue
-        if group.pointwise_stabilizer_order([0, beta]) != 1:
+        if len(orbit) != stab.order():
             raise NotFrobenius(f"two-point stabilizer of (0, {beta}) is nontrivial")
     return stab.order()
 
@@ -686,12 +698,6 @@ def frobenius_test(group, normal_subgroup=None, lam=None, alpha=None) -> TestOut
             {"complement_order": order},
         )
     return TestOutcome("frobenius", INCONCLUSIVE, None, {"complement_order": order})
-
-
-def _induced_with_map(subgroup, lam):
-    lam = sorted(lam)
-    induced, kernel = subgroup.induced_action(lam)
-    return induced, kernel, lam
 
 
 def _frobenius_orbit_structure(induced):
@@ -721,7 +727,7 @@ def _frobenius_subgroup_paths(group, F, lam, alpha) -> TestOutcome:
         start = alpha if alpha is not None else 0
         lam = F.orbit(start)
     lam = sorted(lam)
-    induced, kernel_order, lam = _induced_with_map(F, lam)
+    induced, kernel_order = F.induced_action(lam)
     kernel, comp = _frobenius_orbit_structure(induced)
     # cyclic-kernel path: explicit pair (1, y, y^a) vs (1, y, y^b)
     gen = _cyclic_generator(kernel)
@@ -731,15 +737,12 @@ def _frobenius_subgroup_paths(group, F, lam, alpha) -> TestOutcome:
         k = _conjugation_exponent(gen, x, n)
         a = ((1 + k) * pow(k, -1, n)) % n
         b = (1 + k) % n
-        theta = {i: _kernel_point(gen, i) for i in range(n)}
-        to_omega = {i: lam[p] for i, p in theta.items()}
+        # the kernel is identified with the orbit through 0: gen^i <-> 0^(gen^i)
+        to_omega = [lam[(gen ** i)(0)] for i in range(n)]
         I = (to_omega[0], to_omega[1 % n], to_omega[a])
         J = (to_omega[0], to_omega[1 % n], to_omega[b])
-        result = subtuple_complete(group, I, J, 2)
-        equivalent = orbit_equivalent(group, I, J)
-        if result and not equivalent:
-            pair = TuplePair(I=I, J=J, completeness_level=2,
-                             transporters=result.certificates, equivalent=False)
+        pair = _complete_pair(group, I, J, 2)
+        if pair is not None and not orbit_equivalent(group, I, J):
             return TestOutcome(
                 "frobenius", NOT_BINARY, WitnessPairCertificate(pair),
                 {"path": "cyclic_kernel", "kernel_size": n, "exponent": k},
@@ -748,10 +751,13 @@ def _frobenius_subgroup_paths(group, F, lam, alpha) -> TestOutcome:
     # needs F faithful on the orbit so the complement order is F_alpha itself
     c = comp.order()
     if len(lam) > 2 and c > 2 and kernel_order == 1:
-        m = min(
-            group.pointwise_stabilizer_order([g1, g2])
-            for g1, g2 in itertools.combinations(lam, 2)
-        )
+        # |G_{g1,g2}| = |G_g1| / |g2^{G_g1}|, one stabilizer per g1
+        pair_orders = []
+        for i, g1 in enumerate(lam[:-1]):
+            stab = group.pointwise_stabilizer([g1])
+            length = {x: len(orbit) for orbit in stab.orbits() for x in orbit}
+            pair_orders.extend(stab.order() // length[g2] for g2 in lam[i + 1:])
+        m = min(pair_orders)
         lhs = -((-(c - 1) * (c - 2)) // (len(lam) - 2))  # ceil division
         if lhs >= m:
             return TestOutcome(
@@ -770,11 +776,6 @@ def _cyclic_generator(kernel_elements):
         if g.order() == n:
             return g
     return None
-
-
-def _kernel_point(gen, exponent):
-    """Point 0 moved by gen^exponent: identifies the kernel with the orbit."""
-    return (gen ** exponent)(0)
 
 
 def _conjugation_exponent(gen, x, n):
@@ -811,12 +812,9 @@ def check_beautiful(group, normal_subgroup, lam) -> TestOutcome:
                            {**details, "reason": "induced action contains Alt"})
     I = tuple(lam)
     J = (lam[1], lam[0]) + tuple(lam[2:])
-    result = subtuple_complete(group, I, J, 2)
-    equivalent = orbit_equivalent(group, I, J)
-    if not result or equivalent:
+    pair = _complete_pair(group, I, J, 2)
+    if pair is None or orbit_equivalent(group, I, J):
         raise InternalInconsistency("beautiful subset must yield a witness pair")
-    pair = TuplePair(I=I, J=J, completeness_level=2,
-                     transporters=result.certificates, equivalent=False)
     cert = BeautifulSubsetCertificate(tuple(lam), induced.order(), pair)
     return TestOutcome("beautiful", NOT_BINARY, cert, details)
 
@@ -1009,14 +1007,7 @@ def run_battery(group, tests=BATTERY_ORDER, stop_at_first=True, prime=None,
         elif name == "4":
             outcome = run("test4", lambda: test4_suborbits(group))
         elif name == "5":
-            primes = [prime] if prime else _prime_divisors(group.order())
-            outcome = None
-            for p in primes:
-                outcome = run("test5", lambda p=p: test5_special_primes(group, p))
-                if outcome.not_binary:
-                    break
-            if outcome is None:
-                outcome = TestOutcome("test5", INCONCLUSIVE, None, {"reason": "trivial group"})
+            outcome = run("test5", lambda: test5_special_primes(group, prime))
         elif name == "6":
             outcome = run("test6", lambda: test6_trivial_two_point(group, trials, seed))
         elif name == "frobenius":

@@ -21,6 +21,7 @@ pair to length <= m, making it equivalent outright.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -97,14 +98,11 @@ class SubtupleResult:
         return self.complete
 
 
-def subtuple_complete(group, I, J, k, _memo=None) -> SubtupleResult:
+def subtuple_complete(group, I, J, k) -> SubtupleResult:
     """Does every k-subset of positions admit a transporter I|S -> J|S?
 
-    Certificates are recorded per subset; results are memoized per
-    (sorted subset, restricted tuples) when a memo dict is supplied.
+    Certificates are recorded per subset.
     """
-    import itertools
-
     I = tuple(I)
     J = tuple(J)
     if len(I) != len(J):
@@ -116,13 +114,7 @@ def subtuple_complete(group, I, J, k, _memo=None) -> SubtupleResult:
     for subset in itertools.combinations(range(len(I)), size):
         src = tuple(I[i] for i in subset)
         dst = tuple(J[i] for i in subset)
-        if _memo is not None:
-            key = (subset, src, dst)
-            if key not in _memo:
-                _memo[key] = group.transporter(src, dst)
-            g = _memo[key]
-        else:
-            g = group.transporter(src, dst)
+        g = group.transporter(src, dst)
         if g is None:
             return SubtupleResult(False, certificates, failing_subset=subset)
         certificates[subset] = g

@@ -71,6 +71,12 @@ def test_tests_command_all(capsys, s4_file):
     assert all(item["verdict"] == "Inconclusive" for item in data)
 
 
+@pytest.mark.parametrize("prime", ["4", "9", "1", "0", "-3"])
+def test_tests_prime_must_be_prime(capsys, s4_file, prime):
+    assert main(["tests", s4_file, "--test", "5", "--prime", prime]) == 2
+    assert "is not a prime" in capsys.readouterr().err
+
+
 def test_tests_beautiful_requires_lambda(capsys, s4_file):
     code = main(["tests", s4_file, "--test=beautiful"])
     assert code == 2
@@ -152,23 +158,35 @@ def test_internal_inconsistency_exit_code(capsys, s4_file, monkeypatch):
     ]
 
 
-def test_invariant_checks_survive_python_O():
-    code = textwrap.dedent("""
-        from relkit.errors import InternalInconsistency
-        from relkit.stats import StatisticsReport, _check_chain
-        report = StatisticsReport(order=24, degree=4, transitive=True, primitive=True,
-                                  rc=2, rc_witness=None, b=3, b_witness=(), B=1,
-                                  B_witness=(), H=3, H_witness=(), I=3, I_witness=())
-        try:
-            _check_chain(report)
-        except InternalInconsistency:
-            print("raised")
-    """)
+def _raises_under_python_O(snippet):
+    """Run snippet with asserts stripped; did it raise InternalInconsistency?"""
+    code = "from relkit.errors import InternalInconsistency\ntry:\n" + textwrap.indent(
+        textwrap.dedent(snippet).strip(), "    "
+    ) + "\nexcept InternalInconsistency:\n    print('raised')\n"
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     result = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "raised"
+    return result.stdout.strip() == "raised"
+
+
+def test_invariant_checks_survive_python_O():
+    assert _raises_under_python_O("""
+        from relkit.stats import StatisticsReport, _check_chain
+        report = StatisticsReport(order=24, degree=4, transitive=True, primitive=True,
+                                  rc=2, rc_witness=None, b=3, b_witness=(), B=1,
+                                  B_witness=(), H=3, H_witness=(), I=3, I_witness=())
+        _check_chain(report)
+    """)
+
+
+def test_catalog_order_check_survives_python_O():
+    # a wrong expected order is a bug in the catalog, not an input error
+    assert _raises_under_python_O("""
+        from relkit.catalog import CatalogEntry, cyclic_regular
+        CatalogEntry(name="c5", parameters={}, group=cyclic_regular(5).group,
+                     expected_order=10)
+    """)
 
 
 def test_cache_flag_is_rejected(capsys, tmp_path, s4_file, monkeypatch):

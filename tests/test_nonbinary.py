@@ -6,6 +6,7 @@ import math
 import pytest
 
 from relkit import catalog as cat
+from relkit.chain import StabilizerChain
 from relkit.closure import k_closure
 from relkit.errors import (
     AbelianInput,
@@ -36,6 +37,19 @@ def G(degree, *cycles):
     return PermutationGroup(degree, [parse_permutation(s, degree) for s in cycles])
 
 
+def counting(monkeypatch, cls, name):
+    """Count calls of cls.name from here on; returns a one-item list."""
+    calls = [0]
+    original = getattr(cls, name)
+
+    def wrapped(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, wrapped)
+    return calls
+
+
 # -- test 1 -------------------------------------------------------------------
 
 def test1_flags_alt5_at_four():
@@ -56,6 +70,15 @@ def test1_inconclusive_on_c5():
     out = nb.test1_character_bound(cat.cyclic_regular(5).group, ell_max=4)
     assert not out.not_binary
     assert out.details["counts"][2] == 4  # frozen: direct count
+
+
+def test1_enumerates_the_group_once(monkeypatch):
+    # every ell comes from one histogram of fixed-point counts
+    g = cat.psl2_projective(11).group
+    calls = counting(monkeypatch, PermutationGroup, "elements")
+    out = nb.test1_character_bound(g)
+    assert calls[0] == 1
+    assert out.details["counts"] == {2: 1, 3: 2}  # 2-transitive, two triple orbits
 
 
 def test1_requires_transitive():
@@ -172,20 +195,25 @@ def test4_flags_subset_action():
 
 # -- test 5 ------------------------------------------------------------------------
 
-def agl2_3():
-    """AGL_2(3) on 9 points: the divisibility rule fires at p = 3."""
+def affine_3_2(matrices):
+    """The translations of F_3^2 and the given linear maps, on 9 points."""
     def idx(x, y):
         return x * 3 + y
     gens = [
         Permutation(idx((x + 1) % 3, y) for x in range(3) for y in range(3)),
         Permutation(idx(x, (y + 1) % 3) for x in range(3) for y in range(3)),
     ]
-    for m in ([[1, 1], [0, 1]], [[0, 2], [1, 0]], [[2, 0], [0, 1]]):
+    for m in matrices:
         gens.append(Permutation(
             idx((m[0][0] * x + m[1][0] * y) % 3, (m[0][1] * x + m[1][1] * y) % 3)
             for x in range(3) for y in range(3)
         ))
     return PermutationGroup(9, gens)
+
+
+def agl2_3():
+    """AGL_2(3) on 9 points: the divisibility rule fires at p = 3."""
+    return affine_3_2([[[1, 1], [0, 1]], [[0, 2], [1, 0]], [[2, 0], [0, 1]]])
 
 
 def test5_fires_on_agl23():
@@ -202,6 +230,32 @@ def test5_fires_on_agl23():
 def test5_prime_must_divide():
     with pytest.raises(PrimeDoesNotDivide):
         nb.test5_special_primes(cat.cyclic_regular(5).group, 3)
+
+
+def _test5_prime_by_prime(group):
+    outcome = nb.TestOutcome("test5", nb.INCONCLUSIVE, None, {"reason": "trivial group"})
+    for p in nb._prime_divisors(group.order()):
+        outcome = nb.test5_special_primes(group, p)
+        if outcome.not_binary:
+            break
+    return outcome
+
+
+@pytest.mark.parametrize("group", [
+    agl2_3(), cat.psl2_projective(7).group, cat.symmetric_natural(5).group,
+    cat.cyclic_regular(7).group, PermutationGroup(1, []),
+], ids=["agl23", "psl27", "sym5", "c7", "trivial"])
+def test5_all_primes_matches_prime_by_prime(group):
+    assert nb.test5_special_primes(group).to_json() == _test5_prime_by_prime(group).to_json()
+
+
+def test5_enumerates_the_group_once(monkeypatch):
+    # psl2(11) has order 660 = 2^2 * 3 * 5 * 11: four primes, one pass
+    g = cat.psl2_projective(11).group
+    calls = counting(monkeypatch, PermutationGroup, "elements")
+    out = nb.test5_special_primes(g)
+    assert calls[0] == 1
+    assert out.details == {"p": 11}
 
 
 def test5_cyclic_sylow_inconclusive():
@@ -251,6 +305,17 @@ def test6_inconclusive_on_regular():
     assert "trivial point stabilizer" in out.details.get("reason", "")
 
 
+def test6_builds_no_chain_per_pair(monkeypatch):
+    # two-point stabilizers of PSL2(13) have order 6, so all 156 pairs are
+    # tried and rejected by orbit length, not by one chain each
+    g = cat.psl2_projective(13).group
+    builds = counting(monkeypatch, StabilizerChain, "__init__")
+    out = nb.test6_trivial_two_point(g)
+    assert not out.not_binary
+    assert out.details["pairs_tried"] == 13 * 12
+    assert builds[0] <= g.degree
+
+
 def test6_deterministic():
     g = cat.agl1(7).group
     a = nb.test6_trivial_two_point(g, trials=1000, seed=7).to_json()
@@ -292,6 +357,18 @@ def test_frobenius_cyclic_kernel_path():
     assert out.not_binary
     assert out.details["path"] == "cyclic_kernel"
     assert out.verify(g7)
+
+
+def test_frobenius_counting_path():
+    # F = 3^2:Q8 is normal in AGL2(3) and Frobenius on 9 points with a
+    # non-cyclic kernel; |AGL2(3)_{a,b}| = |GL2(3)| / 8 = 6 for every pair
+    g = agl2_3()
+    F = affine_3_2([[[0, 1], [2, 0]], [[1, 1], [1, 2]]])
+    assert F.order() == 72
+    out = frobenius_test(g, normal_subgroup=F)
+    assert out.not_binary
+    assert out.details == {"path": "counting", "complement_order": 8, "orbit_size": 9,
+                           "min_two_point_stabilizer": 6, "pigeonhole": 6}
 
 
 def test_frobenius_subgroup_requires_normal():

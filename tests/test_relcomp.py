@@ -289,17 +289,6 @@ def test_statistics_chain_on_catalog_sample():
         assert rc <= p.height + 1
 
 
-def test_subtuple_memoization():
-    g = cat.alternating_natural(5).group
-    memo = {}
-    I = (0, 1, 2, 3)
-    J = (1, 0, 2, 3)
-    first = subtuple_complete(g, I, J, 2, _memo=memo)
-    assert memo
-    again = subtuple_complete(g, I, J, 2, _memo=memo)
-    assert bool(first) == bool(again)
-
-
 def test_statistics_cap_skip():
     g = cat.k_subsets_action("Sym", 6, 2).group
     report = compute_statistics(g, rc_caps={"degree_cap": 10})
