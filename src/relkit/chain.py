@@ -19,39 +19,53 @@ level's group, so the product never exceeds the order; equality means the
 strong generating set is complete and every remaining Schreier generator
 would sift to the identity.  The full loop would only have rebuilt the
 stale transversals, which the stop does too, so both give the same chain.
+
+The kernel works on image tuples: Schreier generators are formed and
+sifted as tuples, against inverse transversal images that each level
+caches on first use, and a residue becomes a Permutation only when it is
+installed as a strong generator.
 """
 
 from __future__ import annotations
 
-from .perm import Permutation
+from .perm import Permutation, _trusted
 
 
 def schreier_tree(point, generators, identity):
     """Orbit of point with, per orbit point b, a word u in the generators
     mapping point to b; grown breadth-first in insertion order, each new
     point b = c^g getting u_b = u_c * g."""
+    images = [g.images for g in generators]
     reps = {point: identity}
     queue = [point]
     while queue:
         nxt = []
         for a in queue:
-            u = reps[a]
-            for g in generators:
-                b = g(a)
+            u = reps[a].images
+            for g in images:
+                b = g[a]
                 if b not in reps:
-                    reps[b] = u * g
+                    reps[b] = _trusted(tuple(map(g.__getitem__, u)))
                     nxt.append(b)
         queue = nxt
     return reps
 
 
 class _Level:
-    __slots__ = ("point", "transversal", "added")
+    __slots__ = ("point", "transversal", "added", "inverses")
 
     def __init__(self, point: int, degree: int):
         self.point = point
         self.transversal = {point: Permutation.identity(degree)}
         self.added: list[Permutation] = []
+        # b -> image tuple of the inverse of transversal[b], filled on use
+        self.inverses: dict[int, tuple] = {}
+
+    def inverse(self, b: int) -> tuple:
+        inv = self.inverses.get(b)
+        if inv is None:
+            inv = self.inverses[b] = self.transversal[b].inverse().images
+        return inv
 
 
 class StabilizerChain:
@@ -59,6 +73,7 @@ class StabilizerChain:
 
     def __init__(self, degree: int, generators, base_prefix=(), order=None):
         self.degree = degree
+        self._identity = tuple(range(degree))
         self._levels: list[_Level] = []
         seen = set()
         for p in base_prefix:
@@ -77,13 +92,14 @@ class StabilizerChain:
 
     def _install(self, g: Permutation) -> int:
         """Place g at the first level whose base point it moves."""
+        images = g.images
         i = 0
         while True:
             if i == len(self._levels):
-                moved = min(p for p in range(self.degree) if g(p) != p)
+                moved = min(p for p, x in enumerate(images) if x != p)
                 self._levels.append(_Level(moved, self.degree))
             level = self._levels[i]
-            if g(level.point) != level.point:
+            if images[level.point] != level.point:
                 level.added.append(g)
                 return i
             i += 1
@@ -99,6 +115,7 @@ class StabilizerChain:
         level.transversal = schreier_tree(
             level.point, self._gens_at(i), Permutation.identity(self.degree)
         )
+        level.inverses.clear()
 
     def _complete(self, order):
         """Fixpoint loop: process the deepest dirty level first.
@@ -115,16 +132,17 @@ class StabilizerChain:
                     self._rebuild_transversal(j)
                 return
             level = self._levels[i]
-            gens = self._gens_at(i)
+            gens = [g.images for g in self._gens_at(i)]
             clean = True
             for b in sorted(level.transversal):
-                u_b = level.transversal[b]
+                u_b = level.transversal[b].images
                 for g in gens:
-                    c = g(b)
-                    schreier = u_b * g * level.transversal[c].inverse()
-                    residue, _ = self._sift(schreier, i + 1)
-                    if not residue.is_identity():
-                        j = self._install(residue)
+                    # u_b * g * u_c^-1 with c = b^g, as one image tuple
+                    u_c_inv = level.inverse(g[b])
+                    schreier = tuple(map(u_c_inv.__getitem__, map(g.__getitem__, u_b)))
+                    residue = self._sift(schreier, i + 1)
+                    if residue != self._identity:
+                        j = self._install(_trusted(residue))
                         dirty.update(range(i + 1, j + 1))
                         dirty.add(i)
                         clean = False
@@ -136,19 +154,18 @@ class StabilizerChain:
 
     # -- queries -------------------------------------------------------
 
-    def _sift(self, g: Permutation, start: int = 0):
-        """Strip transversal factors; returns (residue, level reached)."""
-        for i in range(start, len(self._levels)):
-            level = self._levels[i]
-            b = g(level.point)
+    def _sift(self, images: tuple, start: int = 0) -> tuple:
+        """Sift an image tuple through the levels from start on; returns
+        the residue, which is the identity exactly for group members."""
+        for level in self._levels[start:]:
+            b = images[level.point]
             if b not in level.transversal:
-                return g, i
-            g = g * level.transversal[b].inverse()
-        return g, len(self._levels)
+                return images
+            images = tuple(map(level.inverse(b).__getitem__, images))
+        return images
 
     def contains(self, g: Permutation) -> bool:
-        residue, _ = self._sift(g)
-        return residue.is_identity()
+        return self._sift(g.images) == self._identity
 
     @property
     def base(self):
@@ -191,8 +208,8 @@ class StabilizerChain:
         u = level.transversal.get(b)
         if u is None:
             return None
-        uinv = u.inverse()
-        rest = [uinv(t) for t in targets[1:]]
+        uinv = level.inverse(b)
+        rest = [uinv[t] for t in targets[1:]]
         h = self._descend(i + 1, rest)
         return None if h is None else h * u
 

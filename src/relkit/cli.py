@@ -265,8 +265,8 @@ def cmd_homog(args) -> int:
         print("error: need a structure file or --enumerate N", file=sys.stderr)
         return 2
     structure = load_structure(args.structure_file)
-    verdict, failing = is_homogeneous(structure)
     aut = automorphism_group(structure)
+    verdict, failing = is_homogeneous(structure, aut=aut)
     model = {
         "vertices": structure.vertices,
         "homogeneous": verdict,

@@ -15,6 +15,7 @@ from .chain import StabilizerChain, schreier_tree
 from .errors import (
     DegreeMismatch,
     DegreeTooLarge,
+    LengthMismatch,
     NotInGroup,
     NotTransitive,
     ParseError,
@@ -125,14 +126,15 @@ class PermutationGroup:
     def orbit(self, p: int):
         """Orbit of p in breadth-first insertion order."""
         self._check_point(p)
+        images = [g.images for g in self.generators]
         out = [p]
         seen = {p}
         queue = [p]
         while queue:
             nxt = []
             for a in queue:
-                for g in self.generators:
-                    b = g(a)
+                for g in images:
+                    b = g[a]
                     if b not in seen:
                         seen.add(b)
                         out.append(b)
@@ -166,8 +168,6 @@ class PermutationGroup:
 
     def transporter(self, src, dst) -> Permutation | None:
         """Some g with src[i]^g = dst[i] for all i, or None (proof of absence)."""
-        from .errors import LengthMismatch
-
         src = tuple(src)
         dst = tuple(dst)
         if len(src) != len(dst):

@@ -8,6 +8,7 @@ Points are 0-based everywhere in code; cycle notation in text I/O is
 from __future__ import annotations
 
 import re
+from math import lcm
 
 from .errors import DegreeMismatch, MalformedSyntax, PointOutOfRange, RepeatedPoint
 
@@ -74,11 +75,9 @@ class Permutation:
         return _trusted(tuple(inv))
 
     def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def order(self) -> int:
-        from math import lcm
-
         lengths = [len(c) for c in self.cycles()]
         return lcm(*lengths) if lengths else 1
 

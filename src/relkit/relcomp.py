@@ -149,24 +149,27 @@ def _witness_at_prefix(lattice, prefix_set, stab):
         alpha = orbit[0]
         if alpha in covered:
             continue
-        alpha_orbit = set(orbit)
         candidates = None
-        reps_list = []
         for side in side_groups:
-            reps = side.orbit_transporter(alpha)
-            reps_list.append(reps)
-            candidates = set(reps) if candidates is None else candidates & set(reps)
+            side_orbit = side.orbit(alpha)
+            if candidates is None:
+                candidates = set(side_orbit)
+            else:
+                candidates.intersection_update(side_orbit)
             if len(candidates) <= 1:
                 break
         if candidates is None or len(candidates) <= 1:
             continue
-        escaped = sorted(candidates - alpha_orbit)
+        escaped = candidates.difference(orbit)
         if not escaped:
             continue
-        beta = escaped[0]
-        transporters = {}
-        for idx_dropped, (x, reps) in enumerate(zip(prefix, reps_list)):
-            transporters[idx_dropped] = reps[beta]
+        # A transporter word costs a product per orbit point, and almost
+        # no prefix has a witness: build words for the one returned only.
+        beta = min(escaped)
+        transporters = {
+            idx_dropped: side.orbit_transporter(alpha)[beta]
+            for idx_dropped, side in enumerate(side_groups)
+        }
         return alpha, beta, transporters
     return None
 

@@ -226,17 +226,19 @@ def automorphism_group(structure, generators=()) -> PermutationGroup:
     return PermutationGroup(n, known.generators, _order=known.order())
 
 
-def is_homogeneous(structure, vertex_cap=HOMOGENEITY_VERTEX_CAP):
+def is_homogeneous(structure, vertex_cap=HOMOGENEITY_VERTEX_CAP, aut=None):
     """Does every isomorphism of induced substructures extend to an
     automorphism?  Returns (True, None) or (False, failing map).
 
     Source subsets range over Aut-orbit representatives (a pure symmetry
-    reduction); targets range over all subsets of the same size.
+    reduction); targets range over all subsets of the same size.  A caller
+    that already holds the automorphism group passes it as aut.
     """
     n = structure.vertices
     if n > vertex_cap:
         raise TooLarge(f"homogeneity test capped at {vertex_cap} vertices")
-    aut = automorphism_group(structure)
+    if aut is None:
+        aut = automorphism_group(structure)
     aut_chain_cache = {}
     gens = [g.images for g in aut.generators]
 
@@ -303,7 +305,7 @@ def structural_rc(group, degree_cap=STRUCTURAL_RC_DEGREE_CAP,
         aut = automorphism_group(structure)
         if aut.order() != group.order():
             continue
-        homogeneous, _ = is_homogeneous(structure)
+        homogeneous, _ = is_homogeneous(structure, aut=aut)
         if homogeneous:
             return s
     rc, _ = relational_complexity(group)

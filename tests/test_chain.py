@@ -1,5 +1,8 @@
-"""Stabilizer chains built with a known order, and orders carried by
-stabilizers, against full Schreier-Sims builds and the brute-force oracle."""
+"""Stabilizer chains against a plain reference Schreier-Sims loop, chains
+built with a known order, and orders carried by stabilizers, against full
+Schreier-Sims builds and the brute-force oracle."""
+
+from math import prod
 
 from hypothesis import given, settings, strategies as st
 
@@ -10,10 +13,10 @@ from relkit.perm import Permutation
 
 
 @st.composite
-def subgroups_with_points(draw):
-    """(degree, generators, points): a random subgroup of Sym(5..7) and a
-    short list of points, repeats allowed."""
-    degree = draw(st.integers(5, 7))
+def subgroups_with_points(draw, max_degree=7):
+    """(degree, generators, points): a random subgroup of Sym(5..max_degree)
+    and a short list of points, repeats allowed."""
+    degree = draw(st.integers(5, max_degree))
     perms = st.permutations(range(degree)).map(Permutation)
     gens = draw(st.lists(perms, min_size=1, max_size=3))
     points = draw(st.lists(st.integers(0, degree - 1), max_size=4))
@@ -27,6 +30,99 @@ def levels(chain):
          [(b, u.images) for b, u in level.transversal.items()])
         for level in chain._levels
     ]
+
+
+def reference_levels(degree, generators, base_prefix=(), order=None):
+    """levels() of the chain StabilizerChain builds, from the same
+    deterministic Schreier-Sims loop written with Permutation products and
+    one inverse per step, as it was before the kernel moved to image
+    tuples."""
+    identity = Permutation.identity(degree)
+    points, added, transversals = [], [], []
+
+    def new_level(p):
+        points.append(p)
+        added.append([])
+        transversals.append({p: identity})
+
+    def install(g):
+        i = 0
+        while True:
+            if i == len(points):
+                new_level(min(g.support()))
+            if g(points[i]) != points[i]:
+                added[i].append(g)
+                return i
+            i += 1
+
+    def gens_at(i):
+        return [g for level in added[i:] for g in level]
+
+    def rebuild(i):
+        reps = {points[i]: identity}
+        queue = [points[i]]
+        while queue:
+            nxt = []
+            for a in queue:
+                for g in gens_at(i):
+                    if g(a) not in reps:
+                        reps[g(a)] = reps[a] * g
+                        nxt.append(g(a))
+            queue = nxt
+        transversals[i] = reps
+
+    def sift(g, start):
+        for i in range(start, len(points)):
+            b = g(points[i])
+            if b not in transversals[i]:
+                return g
+            g = g * transversals[i][b].inverse()
+        return g
+
+    for p in dict.fromkeys(base_prefix):
+        new_level(p)
+    for g in generators:
+        if not g.is_identity():
+            install(g)
+    dirty = set(range(len(points)))
+    while dirty:
+        i = max(dirty)
+        rebuild(i)
+        if order is not None and prod(map(len, transversals)) == order:
+            for j in dirty - {i}:
+                rebuild(j)
+            break
+        gens = gens_at(i)
+        clean = True
+        for b in sorted(transversals[i]):
+            for g in gens:
+                u_b, u_c = transversals[i][b], transversals[i][g(b)]
+                residue = sift(u_b * g * u_c.inverse(), i + 1)
+                if not residue.is_identity():
+                    j = install(residue)
+                    dirty.update(range(i + 1, j + 1))
+                    dirty.add(i)
+                    clean = False
+                    break
+            if not clean:
+                break
+        if clean:
+            dirty.discard(i)
+    return [
+        (p, [g.images for g in gens], [(b, u.images) for b, u in reps.items()])
+        for p, gens, reps in zip(points, added, transversals)
+    ]
+
+
+@given(subgroups_with_points(max_degree=8))
+@settings(max_examples=150, deadline=None)
+def test_chain_equals_reference_schreier_sims(case):
+    degree, gens, prefix = case
+    want = reference_levels(degree, gens, prefix)
+    assert levels(StabilizerChain(degree, gens, prefix)) == want
+    order = prod(len(reps) for _, _, reps in want)
+    assert (levels(StabilizerChain(degree, gens, prefix, order=order))
+            == reference_levels(degree, gens, prefix, order))
 
 
 @given(subgroups_with_points())

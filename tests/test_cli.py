@@ -9,9 +9,11 @@ import textwrap
 
 import pytest
 
+from relkit import catalog as cat, cli, structures
 from relkit.cli import main
+from relkit.digraphs import sporadic_h0
 from relkit.group import dump_group
-from relkit import catalog as cat
+from relkit.structures import automorphism_group
 
 
 @pytest.fixture
@@ -108,6 +110,24 @@ def test_homog_structure_file(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     assert data["homogeneous"] is True and data["automorphism_order"] == 10
+
+
+def test_homog_computes_the_automorphism_group_once(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "h0.json"
+    path.write_text(json.dumps(sporadic_h0().to_structure().to_json()))
+    calls = []
+
+    def counting(structure, *args, **kwargs):
+        calls.append(structure)
+        return automorphism_group(structure, *args, **kwargs)
+
+    monkeypatch.setattr(structures, "automorphism_group", counting)
+    monkeypatch.setattr(cli, "automorphism_group", counting)
+    code, out = run(capsys, "homog", str(path), "--format=json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["homogeneous"] is True and data["automorphism_order"] == 24
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("data", [

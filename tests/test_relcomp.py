@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relkit import catalog as cat
+from relkit import catalog as cat, relcomp
 from relkit.errors import LengthMismatch, NotTransitive
 from relkit.group import PermutationGroup
 from relkit.oracle import (
@@ -159,6 +159,40 @@ def test_witness_json_roundtrip():
     assert back.I == witness.I and back.J == witness.J
     assert back.verify(g)
     assert data["equivalent"] is False
+
+
+def _transporter_calls_and_budget(monkeypatch, group):
+    """RC of group, the orbit_transporter calls it made, and the prefix
+    points of the witnesses the search returned."""
+    calls = []
+    prefix_points = []
+    orbit_transporter = PermutationGroup.orbit_transporter
+    witness_at_prefix = relcomp._witness_at_prefix
+
+    def counting_transporter(self, p):
+        calls.append(p)
+        return orbit_transporter(self, p)
+
+    def counting_witness(lattice, prefix_set, stab):
+        hit = witness_at_prefix(lattice, prefix_set, stab)
+        if hit is not None:
+            prefix_points.append(len(prefix_set))
+        return hit
+
+    monkeypatch.setattr(PermutationGroup, "orbit_transporter", counting_transporter)
+    monkeypatch.setattr(relcomp, "_witness_at_prefix", counting_witness)
+    rc, _ = relational_complexity(group)
+    return rc, len(calls), sum(prefix_points)
+
+
+def test_transporter_words_only_for_the_witness(monkeypatch):
+    rc, calls, budget = _transporter_calls_and_budget(
+        monkeypatch, cat.k_subsets_action("Sym", 6, 2).group)
+    assert rc == 3
+    assert 0 < calls <= budget
+    rc, calls, _ = _transporter_calls_and_budget(monkeypatch, cat.product_action(2, 2).group)
+    assert rc == 2
+    assert calls == 0
 
 
 # -- oracle agreement ----------------------------------------------------------------
