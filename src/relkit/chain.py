@@ -184,6 +184,13 @@ class StabilizerChain:
             n *= len(level.transversal)
         return n
 
+    def stored_size(self) -> int:
+        """Image entries the chain holds once every transversal inverse
+        is cached: degree times (twice the transversal elements plus the
+        strong generators)."""
+        perms = sum(2 * len(level.transversal) + len(level.added) for level in self._levels)
+        return perms * self.degree
+
     def strong_generators_below(self, k: int):
         """Generators of the pointwise stabilizer of the first k base points."""
         return self._gens_at(k)
@@ -220,19 +227,31 @@ class StabilizerChain:
         return [level.point] + sorted(b for b in level.transversal if b != level.point)
 
     def elements(self):
-        """Iterate all group elements in canonical enumeration order."""
-        ident = Permutation.identity(self.degree)
+        """Iterate all group elements in canonical enumeration order.
 
-        def rec(i, acc):
-            if i < 0:
-                yield acc
-                return
-            level = self._levels[i]
-            for b in self._level_order(i):
-                yield from rec(i - 1, level.transversal[b] if acc is None else acc * level.transversal[b])
-
+        An element is u_last * ... * u_0, one transversal element per
+        level, with the deepest level varying slowest.  Products are
+        composed as image tuples; only the yielded element is wrapped.
+        """
         if not self._levels:
-            yield ident
+            yield Permutation.identity(self.degree)
             return
-        for g in rec(len(self._levels) - 1, None):
-            yield ident if g is None else g
+        reps = [
+            [self._levels[i].transversal[b].images for b in self._level_order(i)]
+            for i in range(len(self._levels))
+        ]
+        first = reps[0]
+
+        def outer(i, acc):
+            # products of the chosen representatives of levels last..i
+            for u in reps[i]:
+                prod = u if acc is None else tuple(map(u.__getitem__, acc))
+                if i == 1:
+                    yield prod
+                else:
+                    yield from outer(i - 1, prod)
+
+        partials = outer(len(reps) - 1, None) if len(reps) > 1 else (self._identity,)
+        for acc in partials:
+            for u in first:
+                yield _trusted(tuple(map(u.__getitem__, acc)))

@@ -33,6 +33,7 @@ from .perm import Permutation, format_permutation
 from .relcomp import TuplePair, orbit_equivalent, relational_complexity, subtuple_complete
 
 ELEMENT_ENUM_CAP = 200_000
+TEST5_EXHAUSTIVE_CAP = 10**5
 DEFAULT_TEST6_TRIALS = 100_000
 DEFAULT_TEST6_SEED = 0xC4E2
 
@@ -241,6 +242,43 @@ def _elements(group):
     return group.elements()
 
 
+class _ElementCensus:
+    """Facts about a group's elements from one pass, taken on first demand:
+    the histogram of fixed-point counts (test 1), and, when |G| is at most
+    prime_cap, the elements of each prime order in enumeration order
+    (test 5; primes=None means every prime dividing |G|).  run_battery
+    hands one census to both tests."""
+
+    def __init__(self, group, fixed_counts=True, primes=None, prime_cap=TEST5_EXHAUSTIVE_CAP):
+        self._group = group
+        self._fixed_counts = fixed_counts
+        self._primes = primes
+        self._prime_cap = prime_cap
+        self._facts = None
+
+    def _take(self):
+        if self._facts is None:
+            order = self._group.order()
+            primes = _prime_divisors(order) if self._primes is None else self._primes
+            by_prime = {q: [] for q in primes} if order <= self._prime_cap else {}
+            fixed = Counter()
+            for g in self._group.elements():
+                if self._fixed_counts:
+                    fixed[len(g.fixed_points())] += 1
+                if by_prime:
+                    found = by_prime.get(g.order())
+                    if found is not None:
+                        found.append(g)
+            self._facts = fixed, by_prime
+        return self._facts
+
+    def fixed_counts(self) -> Counter:
+        return self._take()[0]
+
+    def prime_order_elements(self) -> dict:
+        return self._take()[1]
+
+
 def _orbit_count_fixed(fixed, order, ell) -> int:
     """r_ell by the Burnside sum over a histogram of fixed-point counts."""
     total = sum(count * math.perm(f, ell) for f, count in fixed.items())
@@ -295,7 +333,7 @@ def _distinct_pair_transitive(group) -> bool:
 # -- Test 1: orbit growth vs the binary bound ---------------------------
 
 
-def test1_character_bound(group, ell_max=5) -> TestOutcome:
+def test1_character_bound(group, ell_max=5, _census=None) -> TestOutcome:
     """r_ell <= r_2^(ell(ell-1)/2) must hold for binary groups; count and compare.
 
     Counts come from the element fixed-point sum when the group is small
@@ -309,7 +347,8 @@ def test1_character_bound(group, ell_max=5) -> TestOutcome:
     # one pass over the elements serves every ell
     fixed = None
     if order <= ELEMENT_ENUM_CAP:
-        fixed = Counter(len(g.fixed_points()) for g in group.elements())
+        census = _census or _ElementCensus(group, primes=())
+        fixed = census.fixed_counts()
     tuple_budget = 400_000
 
     def r(ell):
@@ -446,7 +485,8 @@ def test4_suborbits(group, **rc_caps) -> TestOutcome:
 # -- Test 5: special primes ------------------------------------------------
 
 
-def test5_special_primes(group, p=None, exhaustive_cap=10**5, sample_trials=1000, seed=0) -> TestOutcome:
+def test5_special_primes(group, p=None, exhaustive_cap=TEST5_EXHAUSTIVE_CAP,
+                         sample_trials=1000, seed=0, _census=None) -> TestOutcome:
     """Elementary abelian p^2 configurations (two rules, see certificates).
 
     Tries p, or else every prime dividing |G| in ascending order, and
@@ -465,11 +505,10 @@ def test5_special_primes(group, p=None, exhaustive_cap=10**5, sample_trials=1000
     if p is not None and order % p != 0:
         raise PrimeDoesNotDivide(f"{p} does not divide the group order {order}")
     if order <= exhaustive_cap:
-        p_elements = {q: [] for q in primes}
-        for g in group.elements():
-            found = p_elements.get(g.order())
-            if found is not None:
-                found.append(g)
+        census = _census or _ElementCensus(
+            group, fixed_counts=False, primes=primes, prime_cap=exhaustive_cap
+        )
+        p_elements = census.prime_order_elements()
     for q in primes:
         if order <= exhaustive_cap:
             outcome = _test5_scan(group, q, p_elements[q])
@@ -584,6 +623,8 @@ def test6_trivial_two_point(group, trials=DEFAULT_TEST6_TRIALS, seed=DEFAULT_TES
     Needs a pair with trivial two-point stabilizer; each success yields an
     explicitly 2-subtuple-complete, non-equivalent triple pair.
     """
+    if trials < 0:
+        raise BadParameter(f"trial count must be >= 0, not {trials}")
     if not group.is_transitive():
         raise NotTransitive("test 6 requires a transitive group")
     n = group.degree
@@ -986,7 +1027,18 @@ BATTERY_ORDER = ("1", "2", "3", "4", "5", "6", "frobenius")
 def run_battery(group, tests=BATTERY_ORDER, stop_at_first=True, prime=None,
                 trials=DEFAULT_TEST6_TRIALS, seed=DEFAULT_TEST6_SEED, ell_max=4):
     """Run the numbered tests in order; applicability errors become
-    Inconclusive outcomes with the reason recorded."""
+    Inconclusive outcomes with the reason recorded.  Unknown test names
+    and a negative trial count are rejected before any test runs."""
+    tests = list(tests)
+    unknown = [name for name in tests if name not in BATTERY_ORDER]
+    if unknown:
+        expected = ", ".join(BATTERY_ORDER)
+        raise BadParameter(f"unknown test {unknown[0]!r}; expected one of {expected}")
+    if trials < 0:
+        raise BadParameter(f"trial count must be >= 0, not {trials}")
+    # tests 1 and 5 share one pass over the elements, dropped once both ran
+    sharing = {"1", "5"}
+    census = _ElementCensus(group) if sharing <= set(tests) else None
     outcomes = []
 
     def run(name, fn):
@@ -999,7 +1051,7 @@ def run_battery(group, tests=BATTERY_ORDER, stop_at_first=True, prime=None,
 
     for name in tests:
         if name == "1":
-            outcome = run("test1", lambda: test1_character_bound(group, ell_max))
+            outcome = run("test1", lambda: test1_character_bound(group, ell_max, _census=census))
         elif name == "2":
             outcome = run("test2", lambda: test2_strongly_non_k_ary(group, 2))
         elif name == "3":
@@ -1007,14 +1059,15 @@ def run_battery(group, tests=BATTERY_ORDER, stop_at_first=True, prime=None,
         elif name == "4":
             outcome = run("test4", lambda: test4_suborbits(group))
         elif name == "5":
-            outcome = run("test5", lambda: test5_special_primes(group, prime))
+            outcome = run("test5", lambda: test5_special_primes(group, prime, _census=census))
         elif name == "6":
             outcome = run("test6", lambda: test6_trivial_two_point(group, trials, seed))
-        elif name == "frobenius":
-            outcome = run("frobenius", lambda: frobenius_test(group))
         else:
-            raise ValueError(f"unknown test {name!r}")
+            outcome = run("frobenius", lambda: frobenius_test(group))
         outcomes.append(outcome)
+        sharing.discard(name)
+        if not sharing:
+            census = None
         if stop_at_first and outcome.not_binary:
             break
     return outcomes

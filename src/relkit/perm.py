@@ -78,7 +78,20 @@ class Permutation:
         return self.images == tuple(range(len(self.images)))
 
     def order(self) -> int:
-        lengths = [len(c) for c in self.cycles()]
+        """lcm of the cycle lengths, walked without building the cycles."""
+        images = self.images
+        seen = bytearray(len(images))
+        lengths = set()
+        for start, x in enumerate(images):
+            if seen[start] or x == start:
+                continue
+            length = 1
+            seen[start] = 1
+            while x != start:
+                seen[x] = 1
+                x = images[x]
+                length += 1
+            lengths.add(length)
         return lcm(*lengths) if lengths else 1
 
     def cycles(self):

@@ -50,8 +50,11 @@ class TuplePair:
     equivalent: bool = False
 
     def verify(self, group: PermutationGroup) -> bool:
-        """Re-check every recorded certificate and the (non-)equivalence."""
+        """Re-check every recorded certificate and the (non-)equivalence:
+        each transporter must lie in the group and map I|S onto J|S."""
         for subset, perm in self.transporters.items():
+            if not group.contains(perm):
+                return False
             for i in subset:
                 if perm(self.I[i]) != self.J[i]:
                     return False

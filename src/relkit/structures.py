@@ -239,15 +239,7 @@ def is_homogeneous(structure, vertex_cap=HOMOGENEITY_VERTEX_CAP, aut=None):
         raise TooLarge(f"homogeneity test capped at {vertex_cap} vertices")
     if aut is None:
         aut = automorphism_group(structure)
-    aut_chain_cache = {}
     gens = [g.images for g in aut.generators]
-
-    def extends(src_tuple, dst_tuple):
-        key = src_tuple
-        if key not in aut_chain_cache:
-            aut_chain_cache[key] = aut.rebased(src_tuple).chain
-        return aut_chain_cache[key].descend(list(dst_tuple)) is not None
-
     for size in range(1, n):
         subsets = [frozenset(c) for c in itertools.combinations(range(n), size)]
         subset_orbits = orbits_under(
@@ -261,7 +253,7 @@ def is_homogeneous(structure, vertex_cap=HOMOGENEITY_VERTEX_CAP, aut=None):
                 dst_sorted = tuple(sorted(dst))
                 for iso in structure_isomorphisms(induced[src], induced[dst]):
                     image = tuple(dst_sorted[iso[i]] for i in range(size))
-                    if not extends(src_sorted, image):
+                    if aut.transporter(src_sorted, image) is None:
                         failing = dict(zip(src_sorted, image))
                         return False, failing
         del induced  # free this size's substructures before the next size's

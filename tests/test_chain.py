@@ -153,3 +153,173 @@ def test_rebased_does_not_build_a_chain_to_learn_the_order():
     assert group.rebased([3])._order is None
     assert group.order() == 120
     assert group.rebased([3])._order == 120
+
+
+def reference_elements(chain):
+    """elements() of the chain, as it enumerated before it composed image
+    tuples: one Permutation product per level, deepest level slowest."""
+    ident = Permutation.identity(chain.degree)
+
+    def rec(i, acc):
+        if i < 0:
+            yield acc
+            return
+        level = chain._levels[i]
+        for b in chain._level_order(i):
+            yield from rec(i - 1, level.transversal[b] if acc is None else acc * level.transversal[b])
+
+    if not chain._levels:
+        yield ident
+        return
+    for g in rec(len(chain._levels) - 1, None):
+        yield ident if g is None else g
+
+
+@given(subgroups_with_points(max_degree=8))
+@settings(max_examples=80, deadline=None)
+def test_elements_equal_reference_enumeration(case):
+    degree, gens, prefix = case
+    chain = StabilizerChain(degree, gens, prefix)
+    if chain.order() > 5040:
+        chain = StabilizerChain(degree, gens[:1], prefix)
+    got = [g.images for g in chain.elements()]
+    assert got == [g.images for g in reference_elements(chain)]
+    assert len(got) == chain.order()
+
+
+def test_elements_of_the_trivial_group():
+    chain = StabilizerChain(5, [])
+    assert [g.images for g in chain.elements()] == [tuple(range(5))]
+    chain = StabilizerChain(5, [], [2, 4])
+    assert [g.images for g in chain.elements()] == [tuple(range(5))]
+
+
+# -- the per-group memo of rebased chains ------------------------------------
+
+
+def _word(gens, indices, degree):
+    g = Permutation.identity(degree)
+    for i in indices:
+        g = g * gens[i % len(gens)]
+    return g
+
+
+@st.composite
+def groups_with_tuples(draw):
+    """(degree, generators, src, g): a subgroup of Sym(5..8), distinct
+    points src and a word g in the generators."""
+    degree, gens, _ = draw(subgroups_with_points(max_degree=8))
+    src = draw(st.lists(st.integers(0, degree - 1), min_size=1, max_size=4, unique=True))
+    g = _word(gens, draw(st.lists(st.integers(0, 5), max_size=6)), degree)
+    return degree, gens, src, g
+
+
+@given(groups_with_tuples())
+@settings(max_examples=100, deadline=None)
+def test_memoised_transporter_equals_a_fresh_chain(case):
+    degree, gens, src, g = case
+    group = PermutationGroup(degree, gens)
+    dst = [g(p) for p in src]
+    fresh = PermutationGroup(degree, gens).rebased(src).chain
+    want = fresh.descend(dst)
+    for _ in range(2):  # a miss, then a hit
+        got = group.transporter(src, dst)
+        assert got == want and got is not None
+    assert levels(group._prefix_chains[tuple(src)]) == levels(fresh)
+    moved = [g(p) for p in reversed(src)]
+    assert group.transporter(src, moved) == fresh.descend(moved)
+
+
+@given(groups_with_tuples())
+@settings(max_examples=60, deadline=None)
+def test_memoised_conjugator_equals_a_fresh_chain(case):
+    degree, gens, _, x = case
+    group = PermutationGroup(degree, gens)
+    g = gens[0]
+    h = x.inverse() * g * x
+    want = PermutationGroup(degree, gens).element_conjugator(g, h)
+    assert want is not None and want.inverse() * g * want == h
+    for _ in range(2):
+        assert group.element_conjugator(g, h) == want
+    for key, chain in group._prefix_chains.items():
+        assert levels(chain) == levels(StabilizerChain(degree, gens, key))
+
+
+def _counting_builds(monkeypatch):
+    builds = []
+    init = StabilizerChain.__init__
+
+    def counting(self, degree, generators, base_prefix=(), order=None):
+        builds.append(tuple(base_prefix))
+        init(self, degree, generators, base_prefix, order)
+
+    monkeypatch.setattr(StabilizerChain, "__init__", counting)
+    return builds
+
+
+def test_a_repeated_prefix_builds_no_second_chain(monkeypatch):
+    group = PermutationGroup(7, [Permutation([1, 2, 3, 4, 5, 6, 0]),
+                                 Permutation([1, 0, 2, 3, 4, 5, 6])])
+    group.order()
+    builds = _counting_builds(monkeypatch)
+    first = group.transporter((0, 1, 2), (3, 4, 5))
+    assert len(builds) == 1
+    assert group.transporter((0, 1, 2), (6, 5, 4)) is not None
+    assert group.transporter([0, 1, 2, 0], [3, 4, 5, 3]) == first
+    assert group.pointwise_stabilizer_order([0, 1, 2]) == 24
+    assert len(builds) == 1
+    group.transporter((1, 0, 2), (3, 4, 5))  # another order is another chain
+    assert len(builds) == 2
+    group.pointwise_stabilizer([0, 1, 2])  # off the memo
+    group.pointwise_stabilizer([0, 1, 2])
+    assert len(builds) == 4
+
+
+def test_the_memo_stays_within_its_budget():
+    from relkit.group import CHAIN_MEMO_BUDGET
+
+    # AGL(1, 41): x -> x + 1 and x -> 6x (6 is a primitive root mod 41),
+    # degree 41, sharply 2-transitive
+    group = PermutationGroup(41, [Permutation([(x + 1) % 41 for x in range(41)]),
+                                  Permutation([6 * x % 41 for x in range(41)])])
+    assert group.order() == 41 * 40
+    prefixes = [(a, b) for a in range(41) for b in range(41) if a != b][:1200]
+    for a, b in prefixes:
+        assert group.transporter((a, b), (b, a)) is not None
+    memo = group._prefix_chains
+    assert 0 < len(memo) < len(prefixes)
+    assert group._prefix_chains_size == sum(c.stored_size() for c in memo.values())
+    assert group._prefix_chains_size <= CHAIN_MEMO_BUDGET
+    # the first prefixes stay: a prefix re-walked in the same order hits
+    assert list(memo) == prefixes[:len(memo)]
+
+
+def test_the_memo_under_concurrent_transporters():
+    import sys
+    import threading
+
+    gens = [Permutation([1, 2, 3, 4, 5, 6, 7, 0]), Permutation([1, 0, 2, 3, 4, 5, 6, 7])]
+    pairs = [((a, b, c), (c, a, b)) for a in range(8) for b in range(8) for c in range(8)
+             if len({a, b, c}) == 3][:120]
+    want = [PermutationGroup(8, gens).rebased(src).chain.descend(dst) for src, dst in pairs]
+    group = PermutationGroup(8, gens)
+    results = {}
+
+    def worker(k):
+        results[k] = [group.transporter(src, dst) for src, dst in pairs]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(results[k] == want for k in range(4))
+    memo = group._prefix_chains
+    assert len(memo) == len(pairs)
+    assert group._prefix_chains_size == sum(c.stored_size() for c in memo.values())

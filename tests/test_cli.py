@@ -9,7 +9,7 @@ import textwrap
 
 import pytest
 
-from relkit import catalog as cat, cli, structures
+from relkit import catalog as cat, cli, nonbinary, structures
 from relkit.cli import main
 from relkit.digraphs import sporadic_h0
 from relkit.group import dump_group
@@ -77,6 +77,31 @@ def test_tests_command_all(capsys, s4_file):
 def test_tests_prime_must_be_prime(capsys, s4_file, prime):
     assert main(["tests", s4_file, "--test", "5", "--prime", prime]) == 2
     assert "is not a prime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("selection", ["7", "1,,2", "1,7", ""])
+def test_tests_unknown_name_is_an_input_error(capsys, s4_file, monkeypatch, selection):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a test ran before every name was checked")
+
+    monkeypatch.setattr(nonbinary, "test1_character_bound", must_not_run)
+    assert main(["tests", s4_file, "--test", selection]) == 2
+    assert "unknown test" in capsys.readouterr().err
+
+
+def test_tests_negative_trials_is_an_input_error(capsys, s4_file):
+    assert main(["tests", s4_file, "--test", "6", "--trials", "-1"]) == 2
+    assert "trial count" in capsys.readouterr().err
+
+
+def test_tests_zero_trials_is_valid(capsys, s4_file):
+    code, out = run(capsys, "tests", s4_file, "--test", "6", "--trials", "0",
+                    "--format=json")
+    assert code == 0
+    assert json.loads(out) == [
+        {"test": "test6", "verdict": "Inconclusive", "certificate": None,
+         "details": {"pairs_tried": 0}}
+    ]
 
 
 def test_tests_beautiful_requires_lambda(capsys, s4_file):

@@ -523,6 +523,39 @@ def test_battery_all_inconclusive_on_binary():
     assert not any(o.not_binary for o in outcomes)
 
 
+def _counting_elements(monkeypatch, group):
+    """Count elements() calls on group itself from here on."""
+    calls = [0]
+    elements = PermutationGroup.elements
+
+    def wrapped(self):
+        if self is group:
+            calls[0] += 1
+        return elements(self)
+
+    monkeypatch.setattr(PermutationGroup, "elements", wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("builder", [
+    lambda: cat.symmetric_natural(6).group,
+    lambda: cat.psl2_projective(7).group,
+    lambda: cat.agl1(7).group,
+], ids=["sym6", "psl2_7", "agl1_7"])
+def test_battery_tests_1_and_5_share_one_element_pass(monkeypatch, builder):
+    group = builder()
+    alone = [nb.test1_character_bound(group, 4).to_json(),
+             nb.test5_special_primes(group).to_json()]
+    calls = _counting_elements(monkeypatch, group)
+    outcomes = run_battery(group, tests=("1", "5"), stop_at_first=False)
+    assert calls[0] == 1
+    assert [o.to_json() for o in outcomes] == alone
+    # each test on its own still makes its own pass
+    nb.test1_character_bound(group, 4)
+    nb.test5_special_primes(group, 2)
+    assert calls[0] == 3
+
+
 def test_battery_handles_inapplicable():
     # intransitive input: transitivity-gated tests report the reason;
     # test 2 still runs (closures make sense intransitively) and may

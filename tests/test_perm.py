@@ -1,5 +1,7 @@
 """Permutation parsing, formatting and arithmetic."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -70,6 +72,13 @@ def test_order_and_cycle_type():
     assert p.order() == 6
     assert p.cycle_type() == (2, 3)
     assert Permutation.identity(4).order() == 1
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.permutations(range(n))))
+def test_order_is_the_lcm_of_the_cycle_lengths(images):
+    p = Permutation(images)
+    assert p.order() == math.lcm(*(len(c) for c in p.cycles()))
+    assert (p ** p.order()).is_identity()
 
 
 def test_support_and_fixed_points():

@@ -161,6 +161,26 @@ def test_witness_json_roundtrip():
     assert data["equivalent"] is False
 
 
+def test_verify_rejects_transporters_outside_the_group():
+    # (0,1,3) and (0,2,3) are not 2-subtuple complete in the regular C5: no
+    # element of C5 fixes 0 and moves 1.  Sym(5) transporters for each pair
+    # of positions exist, but the swap (2 3) recorded twice is not in C5.
+    c5 = cat.cyclic_regular(5).group
+    swap = parse_permutation("(2 3)", 5)
+    pair = TuplePair(
+        I=(0, 1, 3), J=(0, 2, 3), completeness_level=2,
+        transporters={(0, 1): swap, (0, 2): c5.identity(), (1, 2): swap},
+        equivalent=False,
+    )
+    assert not subtuple_complete(c5, pair.I, pair.J, 2)
+    assert not c5.contains(swap)
+    assert not pair.verify(c5)
+    assert pair.verify(cat.symmetric_natural(5).group) is False  # equivalent in Sym(5)
+    sym_pair = TuplePair(I=pair.I, J=pair.J, completeness_level=2,
+                         transporters=pair.transporters, equivalent=True)
+    assert sym_pair.verify(cat.symmetric_natural(5).group)
+
+
 def _transporter_calls_and_budget(monkeypatch, group):
     """RC of group, the orbit_transporter calls it made, and the prefix
     points of the witnesses the search returned."""
