@@ -247,7 +247,8 @@ class _ElementCensus:
     the histogram of fixed-point counts (test 1), and, when |G| is at most
     prime_cap, the elements of each prime order in enumeration order
     (test 5; primes=None means every prime dividing |G|).  run_battery
-    hands one census to both tests."""
+    hands one census to both tests when it runs both without stopping
+    early."""
 
     def __init__(self, group, fixed_counts=True, primes=None, prime_cap=TEST5_EXHAUSTIVE_CAP):
         self._group = group
@@ -1036,9 +1037,12 @@ def run_battery(group, tests=BATTERY_ORDER, stop_at_first=True, prime=None,
         raise BadParameter(f"unknown test {unknown[0]!r}; expected one of {expected}")
     if trials < 0:
         raise BadParameter(f"trial count must be >= 0, not {trials}")
-    # tests 1 and 5 share one pass over the elements, dropped once both ran
+    # tests 1 and 5 share one pass over the elements, dropped once both ran;
+    # only when both are sure to run, since a stop at tests 1-4 would leave
+    # test 5's share of the pass wasted
     sharing = {"1", "5"}
-    census = _ElementCensus(group) if sharing <= set(tests) else None
+    census = (_ElementCensus(group)
+              if not stop_at_first and sharing <= set(tests) else None)
     outcomes = []
 
     def run(name, fn):

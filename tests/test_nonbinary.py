@@ -556,6 +556,24 @@ def test_battery_tests_1_and_5_share_one_element_pass(monkeypatch, builder):
     assert calls[0] == 3
 
 
+def test_battery_stopping_at_first_keeps_separate_passes(monkeypatch):
+    # Alt(5) stops at test 1, so test 1's pass must not also sort elements
+    # by prime order for a test 5 that never runs
+    group = cat.alternating_natural(5).group
+    calls = _counting_elements(monkeypatch, group)
+    orders = counting(monkeypatch, Permutation, "order")
+    outcomes = run_battery(group, tests=("1", "5"))
+    assert len(outcomes) == 1 and outcomes[0].not_binary
+    assert calls[0] == 1
+    assert orders[0] == 0
+    # on a binary group both tests run, each with its own pass
+    group = cat.symmetric_natural(6).group
+    calls = _counting_elements(monkeypatch, group)
+    outcomes = run_battery(group, tests=("1", "5"))
+    assert len(outcomes) == 2
+    assert calls[0] == 2
+
+
 def test_battery_handles_inapplicable():
     # intransitive input: transitivity-gated tests report the reason;
     # test 2 still runs (closures make sense intransitively) and may
