@@ -505,9 +505,15 @@ def build_entry(name, *args) -> CatalogEntry:
     if name not in BUILDERS:
         raise BadParameter(f"unknown catalog entry {name!r}")
     fn, params = BUILDERS[name]
+    if len(args) != len(params):
+        raise BadParameter(f"{name} takes {len(params)} parameter(s) "
+                           f"({', '.join(params)}), not {len(args)}")
     converted = []
     for value, pname in zip(args, params):
-        converted.append(value if pname in ("base",) else int(value))
+        try:
+            converted.append(value if pname == "base" else int(value))
+        except ValueError:
+            raise BadParameter(f"{name} parameter {pname} must be an integer, not {value!r}")
     return fn(*converted)
 
 

@@ -18,6 +18,7 @@ from . import catalog as cat
 from .closure import k_closure
 from .digraphs import enumerate_homogeneous_digraphs
 from .errors import (
+    BadParameter,
     CapExceeded,
     DegreeTooLarge,
     GroupTooLarge,
@@ -210,6 +211,16 @@ def cmd_rc(args) -> int:
 def cmd_tests(args) -> int:
     group = load_group(args.group_file)
     selection = args.test
+    lam = None
+    if selection in ("beautiful", "all") and args.lambda_:
+        try:
+            lam = [int(x) - 1 for x in args.lambda_.split(",")]
+        except ValueError:
+            raise BadParameter(f"--lambda needs comma-separated integers, not {args.lambda_!r}")
+    elif selection == "beautiful":
+        print("error: --lambda is required for the beautiful-subset test",
+              file=sys.stderr)
+        return 2
     if selection in ("all", None):
         names = list(BATTERY_ORDER)
     elif selection == "beautiful":
@@ -226,13 +237,8 @@ def cmd_tests(args) -> int:
             trials=args.trials,
             seed=args.seed,
         )
-    if selection in ("beautiful", "all") and args.lambda_:
-        lam = [int(x) - 1 for x in args.lambda_.split(",")]
+    if lam is not None:
         outcomes.append(check_beautiful(group, group, lam))
-    elif selection == "beautiful" and not args.lambda_:
-        print("error: --lambda is required for the beautiful-subset test",
-              file=sys.stderr)
-        return 2
     emit(args, [o.to_json() for o in outcomes])
     return 0
 
@@ -311,10 +317,11 @@ def cmd_verify(args) -> int:
         from .verify import CRITERIA
 
         for token in tokens:
-            if token.isdigit():
-                numbers.add(int(token))
-            else:
-                numbers.update(num for num, name, _ in CRITERIA if token in name)
+            selected = {num for num, name, _ in CRITERIA
+                        if (num == int(token) if token.isdigit() else token in name)}
+            if not selected:
+                raise BadParameter(f"--filter token {token!r} selects no criterion")
+            numbers |= selected
     as_json = args.format == "json"
     # in JSON mode the PASS/FAIL lines go to stderr: stdout holds the model alone
     echo = functools.partial(print, file=sys.stderr) if as_json else print

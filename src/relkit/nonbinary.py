@@ -841,7 +841,7 @@ def check_beautiful(group, normal_subgroup, lam) -> TestOutcome:
     _check_normal(group, S)
     lam = sorted(set(lam))
     if len(lam) < 2:
-        raise ValueError("subset must have at least 2 points")
+        raise BadParameter("a beautiful subset needs at least 2 distinct points")
     stab = S.setwise_stabilizer(lam)
     induced, _ = stab.induced_action(lam)
     size = len(lam)

@@ -1,6 +1,6 @@
-"""Relational structures: induced substructures, isomorphism and
-automorphism backtracking, homogeneity, the orbit structure of a group,
-and structural relational complexity.
+"""Relational structures: induced substructures, one partial-isomorphism
+search behind isomorphisms, automorphisms and homogeneity, the orbit
+structure of a group, and structural relational complexity.
 
 A structure is (vertex count, ordered list of relations); a relation is
 (arity >= 2, frozenset of tuples).  Isomorphisms are positional: the
@@ -157,6 +157,19 @@ def _extension_consistent(source, target, domain, images, v, c):
     return True
 
 
+def _extensions(source, target, domain, codomain, images=()):
+    """Every extension of the partial isomorphism domain[i] -> images[i]
+    to all of domain, as image tuples (streaming): the next point of
+    domain tries the unused points of codomain in order."""
+    if len(images) == len(domain):
+        yield images
+        return
+    v = domain[len(images)]
+    for c in codomain:
+        if c not in images and _extension_consistent(source, target, domain, images, v, c):
+            yield from _extensions(source, target, domain, codomain, images + (c,))
+
+
 def structure_isomorphisms(source, target):
     """All isomorphisms source -> target as image tuples (streaming).
 
@@ -166,21 +179,8 @@ def structure_isomorphisms(source, target):
         return
     if source.arity_sequence() != target.arity_sequence():
         return
-    n = source.vertices
-
-    def rec(domain, images, used):
-        if len(domain) == n:
-            yield tuple(images)
-            return
-        v = len(domain)
-        for c in range(n):
-            if c in used:
-                continue
-            if not _extension_consistent(source, target, domain, images, v, c):
-                continue
-            yield from rec(domain + [v], images + [c], used | {c})
-
-    yield from rec([], [], set())
+    points = range(source.vertices)
+    yield from _extensions(source, target, points, points)
 
 
 def automorphism_group(structure, generators=()) -> PermutationGroup:
@@ -195,32 +195,19 @@ def automorphism_group(structure, generators=()) -> PermutationGroup:
     n = structure.vertices
     if n == 0:
         raise VertexOutOfRange("empty structure has no automorphism group")
-
-    def extend_one(domain, images, used):
-        if len(domain) == n:
-            return Permutation(images)
-        v = len(domain)
-        for c in range(n):
-            if c in used:
-                continue
-            if not _extension_consistent(structure, structure, domain, images, v, c):
-                continue
-            result = extend_one(domain + [v], images + [c], used | {c})
-            if result is not None:
-                return result
-        return None
-
-    known = PermutationGroup(n, generators, base_prefix=range(n))
+    points = range(n)
+    known = PermutationGroup(n, generators, base_prefix=points)
     for d in range(n - 1, -1, -1):
-        prefix = list(range(d))
+        prefix = tuple(range(d))
         for c in range(d, n):
             if c in known.chain.transversal(d):
                 continue
             if not _extension_consistent(structure, structure, prefix, prefix, d, c):
                 continue
-            sigma = extend_one(prefix + [d], prefix + [c], set(prefix) | {c})
-            if sigma is not None:
-                known = PermutationGroup(n, known.generators + (sigma,), base_prefix=range(n))
+            images = next(_extensions(structure, structure, points, points, prefix + (c,)), None)
+            if images is not None:
+                sigma = Permutation(images)
+                known = PermutationGroup(n, known.generators + (sigma,), base_prefix=points)
     # drop the base prefix: the returned group's chain, and so the order of
     # its elements(), is the one built from the generators alone
     return PermutationGroup(n, known.generators, _order=known.order())
@@ -231,8 +218,10 @@ def is_homogeneous(structure, vertex_cap=HOMOGENEITY_VERTEX_CAP, aut=None):
     automorphism?  Returns (True, None) or (False, failing map).
 
     Source subsets range over Aut-orbit representatives (a pure symmetry
-    reduction); targets range over all subsets of the same size.  A caller
-    that already holds the automorphism group passes it as aut.
+    reduction); targets range over all subsets of the same size.  An
+    isomorphism between the substructures induced on two subsets is a
+    partial isomorphism of the structure itself, so it is searched there.
+    A caller that already holds the automorphism group passes it as aut.
     """
     n = structure.vertices
     if n > vertex_cap:
@@ -245,18 +234,12 @@ def is_homogeneous(structure, vertex_cap=HOMOGENEITY_VERTEX_CAP, aut=None):
         subset_orbits = orbits_under(
             subsets, gens, lambda subset, images: frozenset(tuple_image(subset, images))
         )
-        reps = [s for s, _ in subset_orbits]
-        induced = {s: induced_substructure(structure, s) for s in subsets}
-        for src in reps:
+        for src, _ in subset_orbits:
             src_sorted = tuple(sorted(src))
             for dst in subsets:
-                dst_sorted = tuple(sorted(dst))
-                for iso in structure_isomorphisms(induced[src], induced[dst]):
-                    image = tuple(dst_sorted[iso[i]] for i in range(size))
+                for image in _extensions(structure, structure, src_sorted, sorted(dst)):
                     if aut.transporter(src_sorted, image) is None:
-                        failing = dict(zip(src_sorted, image))
-                        return False, failing
-        del induced  # free this size's substructures before the next size's
+                        return False, dict(zip(src_sorted, image))
     return True, None
 
 

@@ -109,6 +109,13 @@ def test_tests_beautiful_requires_lambda(capsys, s4_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("lam", ["1", "1,1", "a,b"])
+def test_tests_bad_lambda_is_an_input_error(capsys, s4_file, lam):
+    # fewer than two distinct points, or an entry that is not an integer
+    assert main(["tests", s4_file, "--test=beautiful", "--lambda", lam]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_closure_command(capsys, tmp_path):
     path = tmp_path / "a4.json"
     dump_group(cat.alternating_natural(4).group, path)
@@ -177,6 +184,14 @@ def test_catalog_list_and_build(capsys, tmp_path):
                     "-o", str(target), "--format=json")
     assert code == 0
     assert json.loads(target.read_text())["degree"] == 6
+
+
+@pytest.mark.parametrize("params", [["k_subsets", "Sym", "x", "2"], ["agl1"], ["agl1", "7", "9"]],
+                         ids=["non-integer", "too-few", "too-many"])
+def test_catalog_build_bad_parameters_is_an_input_error(capsys, params):
+    code, out = run(capsys, "catalog", "build", *params)
+    assert code == 2
+    assert out == ""
 
 
 def test_parse_error_exit_code(capsys, tmp_path):
@@ -282,6 +297,15 @@ def test_verify_known_defect_exit(capsys, monkeypatch):
     assert code == 1
     assert "FAIL criterion 99 (always-fails)" in out
     assert "stand-in check: expected 3, got 2" in out
+
+
+@pytest.mark.parametrize("token", ["99", "nonexistent"])
+def test_verify_filter_selecting_nothing_is_an_input_error(capsys, token):
+    assert main(["verify", f"--filter=1,{token}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no criterion ran
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith("error: ") and repr(token) in captured.err
 
 
 def test_global_flags_both_positions(capsys, s4_file):

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relkit import catalog as cat
+from relkit import catalog as cat, structures as structures_module
 from relkit.digraphs import (
     Digraph,
     canonical_form,
@@ -25,6 +25,7 @@ from relkit.digraphs import (
     undirected_cycle,
 )
 from relkit.errors import ArityTooLarge, BadParameter, CapExceeded, TooLarge, VertexOutOfRange
+from relkit.group import orbits_under, tuple_image
 from relkit.oracle import brute_automorphism_count
 from relkit.relcomp import relational_complexity
 from relkit.structures import (
@@ -227,6 +228,54 @@ def test_not_homogeneous_single_directed_edge():
 def test_homogeneity_cap():
     with pytest.raises(TooLarge):
         is_homogeneous(complete(11).to_structure())
+
+
+def induced_is_homogeneous(structure):
+    """Reference: the induced-substructure loop.  Every isomorphism from
+    the substructure induced on an Aut-orbit representative to the one
+    induced on a subset of the same size, relabeled back to the parent's
+    vertices, must extend to an automorphism."""
+    n = structure.vertices
+    aut = automorphism_group(structure)
+    gens = [g.images for g in aut.generators]
+    for size in range(1, n):
+        subsets = [frozenset(c) for c in itertools.combinations(range(n), size)]
+        subset_orbits = orbits_under(
+            subsets, gens, lambda subset, images: frozenset(tuple_image(subset, images))
+        )
+        reps = [s for s, _ in subset_orbits]
+        induced = {s: induced_substructure(structure, s) for s in subsets}
+        for src in reps:
+            src_sorted = tuple(sorted(src))
+            for dst in subsets:
+                dst_sorted = tuple(sorted(dst))
+                for iso in structure_isomorphisms(induced[src], induced[dst]):
+                    image = tuple(dst_sorted[iso[i]] for i in range(size))
+                    if aut.transporter(src_sorted, image) is None:
+                        return False, dict(zip(src_sorted, image))
+    return True, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(structures())
+def test_homogeneity_matches_induced_substructure_loop(structure):
+    # same verdict and the same failing map, found in the same order
+    assert is_homogeneous(structure) == induced_is_homogeneous(structure)
+
+
+def test_homogeneity_builds_no_induced_substructure(monkeypatch):
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fn in (induced_substructure, structure_isomorphisms):
+        monkeypatch.setattr(structures_module, fn.__name__, counting(fn))
+    assert is_homogeneous(sporadic_h0().to_structure()) == (True, None)
+    assert calls == []
 
 
 def test_homogeneous_iff_complement():
