@@ -161,3 +161,44 @@ def literal_relational_complexity(group, max_degree=4, max_length=None) -> int:
                         best = max(best, level)
                         break
     return max(2, best + 1)
+
+
+def naive_base_statistics(group, max_degree=8, max_order=10**4):
+    """(b, B, H, I) from the definitions, by scanning every point subset.
+
+    The pointwise stabilizer of a set S is counted as the elements whose
+    fixed points include S, so no chain is built.  b is the least size of
+    a base, B the largest minimal base (no point can be dropped), H the
+    largest independent set (dropping any point enlarges the stabilizer)
+    and I the largest irredundant base (some order of it shrinks the
+    stabilizer at every step).
+    """
+    n = group.degree
+    if n > max_degree:
+        raise TooLarge(f"naive statistics capped at degree {max_degree}")
+    fixed = [
+        sum(1 << p for p, x in enumerate(images) if p == x)
+        for images in mulclose(group.generators, n, max_order)
+    ]
+    size = [0] * (1 << n)
+    for mask in range(1 << n):
+        size[mask] = sum(1 for f in fixed if f & mask == mask)
+    b = n
+    big_b = h = irr = 0
+    # an ordering with a strict drop at every step exists for S exactly
+    # when it exists for S - {p} and dropping p from S enlarges the stabilizer
+    strict = [False] * (1 << n)
+    for mask in sorted(range(1 << n), key=lambda m: bin(m).count("1")):
+        points = [p for p in range(n) if mask >> p & 1]
+        drops = [p for p in points if size[mask & ~(1 << p)] > size[mask]]
+        strict[mask] = not mask or any(strict[mask & ~(1 << p)] for p in drops)
+        independent = len(drops) == len(points)
+        if independent:
+            h = max(h, len(points))
+        if size[mask] == 1:
+            b = min(b, len(points))
+            if independent:
+                big_b = max(big_b, len(points))
+            if strict[mask]:
+                irr = max(irr, len(points))
+    return b, big_b, h, irr

@@ -10,6 +10,7 @@ from relkit.errors import LengthMismatch, NotTransitive
 from relkit.group import PermutationGroup
 from relkit.oracle import (
     literal_relational_complexity,
+    naive_base_statistics,
     naive_relational_complexity,
 )
 from relkit.perm import Permutation, parse_permutation
@@ -22,6 +23,7 @@ from relkit.relcomp import (
     suborbit_rc_lower_bound,
 )
 from relkit.stats import base_height_profile, compute_statistics, height
+from test_chain import subgroups_with_points
 
 
 def G(degree, *cycle_strings):
@@ -252,6 +254,33 @@ def test_naive_oracle_matches_literal_definition():
 def test_rc_matches_oracle_random_subgroups(images):
     group = PermutationGroup(5, [Permutation(p) for p in images])
     assert relational_complexity(group)[0] == naive_relational_complexity(group)
+
+
+@given(subgroups_with_points())
+@settings(max_examples=150, deadline=None)
+def test_rc_and_statistics_match_oracles_on_random_subgroups(case):
+    degree, gens, _ = case
+    group = PermutationGroup(degree, gens)
+    assert relational_complexity(group)[0] == naive_relational_complexity(group)
+    profile = base_height_profile(group)
+    assert (profile.min_base, profile.max_minimal_base, profile.height,
+            profile.max_irredundant) == naive_base_statistics(group)
+
+
+@pytest.mark.parametrize("label,builder", ORACLE_GROUPS, ids=[c[0] for c in ORACLE_GROUPS])
+def test_statistics_match_naive_oracle(label, builder):
+    group = builder()
+    profile = base_height_profile(group)
+    assert (profile.min_base, profile.max_minimal_base, profile.height,
+            profile.max_irredundant) == naive_base_statistics(group)
+
+
+def test_naive_statistics_by_hand():
+    # Sym(4): b = 3, every minimal base and irredundant base has 3 points
+    assert naive_base_statistics(cat.symmetric_natural(4).group) == (3, 3, 3, 3)
+    # C6 regular: one point is a base; no set of two points is independent
+    assert naive_base_statistics(cat.cyclic_regular(6).group) == (1, 1, 1, 1)
+    assert naive_base_statistics(PermutationGroup(5, [])) == (0, 0, 0, 0)
 
 
 # -- suborbit bound ---------------------------------------------------------------------
