@@ -85,6 +85,9 @@ class PermutationGroup:
         # The group order once known: handed in by rebased() or
         # pointwise_stabilizer(), or read off this group's chain.
         self._order: int | None = _order
+        # pointwise_stabilizer() keeps here the levels it cut from its
+        # parent's chain (see there); empty for any other group.
+        self._cut_levels: tuple = ()
         self._chain: StabilizerChain | None = None
         self._lock = threading.Lock()
         self._prefix_chains: dict[tuple, StabilizerChain] = {}
@@ -227,7 +230,13 @@ class PermutationGroup:
         # Carry the order, not the sliced chain: a chain built from gens
         # has its own base and transversals, which fix the order in which
         # elements() enumerates the stabilizer.
-        return PermutationGroup(self.degree, gens, _order=chain.order_below(k))
+        stab = PermutationGroup(self.degree, gens, _order=chain.order_below(k))
+        # The cut levels: level i holds the orbit of points[i] under the
+        # stabilizer of the points before it, with coset representatives
+        # and their cached inverses.  The walk in search.py tests set
+        # images along them without building another chain.
+        stab._cut_levels = tuple(chain._levels[:k])
+        return stab
 
     def pointwise_stabilizer_order(self, points) -> int:
         points = list(dict.fromkeys(points))

@@ -6,14 +6,51 @@ stabilizer of the preceding points and (b) strictly shrinks that
 stabilizer.  Every independent set, irredundant base and witness prefix
 has a G-translate realized in this tree, because all the properties
 involved are invariant under the diagonal G-action, so canonicalizing
-point by point loses nothing.  Prefixes are deduplicated by their
-underlying set: the pointwise stabilizer, and hence the whole subtree,
-depends only on the set.
+point by point loses nothing.
+
+The walk visits one prefix set per G-orbit of sets: a child set is
+skipped when some set visited before it is its image under G.  Think of
+the plain walk that skips only repeated sets.  The orbit walk yields
+exactly the first set of each G-orbit in the plain walk's order, with
+the same stabilizer:
+
+  - A later orbit-mate's subtree holds no orbit's first set.  Let
+    N = M^g with M earlier.  A child N + {q} of N has the G-translate
+    M + {q'}, where q' is the minimum of the G_M-orbit of q^(g^-1); that
+    orbit is nontrivial like q's, so M + {q'} is a child of M and comes
+    earlier.  M is cut no later than N: a prune reads the depth and the
+    order, which M and N share, and a best level that only grows.
+  - So a first set's parent is a first set, and the orbit walk reaches
+    every first set along the plain walk's path, in the same order,
+    calling the same pointwise_stabilizer on the same group.
+
+Its consumers keep their results.  Depth, stabilizer order, independence
+and whether a witness exists are G-invariant, and the statistics and RC
+change their best value only on a strict improvement, so a later
+orbit-mate never wins.  RC's prune, ``depth + log2(order) <= best_level``,
+reads orbit invariants and a best level that orbit-mates never raise, so
+it cuts the same first sets.  RC, its witness (I, J) and the b/B/H/I
+witnesses are the plain walk's.  The witness's transporters are words in
+the generators of the side groups the lattice serves; a side set the
+plain walk visited but the orbit walk skips is now built by the
+lattice's own recursion, so those words are not covered by the argument
+(they are unchanged on every default catalog entry).
+
+Two sets are tested in two steps.  A key first: per point the sorted
+colours of the orbitals (G-orbits on ordered pairs, diagonal included)
+it forms with the set's points, sorted over the points; one n x n
+colour table of the top group serves the walk.  Sets with equal keys
+then go to a set-transporter backtrack along the stored set's own path:
+pointwise_stabilizer keeps, on each stabilizer it returns, the level it
+cut from its parent's chain, and those levels form a stabilizer chain
+prefix of G along the path (Leon, "Permutation group algorithms based on
+partitions, I", J. Symbolic Comput. 1991, decides set images by such a
+backtrack with partition refinement on top).
 """
 
 from __future__ import annotations
 
-from .group import PermutationGroup
+from .group import PermutationGroup, orbits_under
 
 
 class StabilizerLattice:
@@ -46,17 +83,67 @@ class StabilizerLattice:
         return all(self.order(points - {p}) > full for p in points)
 
 
+def orbital_colours(group: PermutationGroup):
+    """Flat n x n table: entry a*n + b numbers the G-orbit of (a, b)."""
+    n = group.degree
+    # each generator as a map of pair numbers a*n + b
+    gens = [[x * n + y for x in g.images for y in g.images] for g in group.generators]
+    colour = [0] * (n * n)
+    orbitals = orbits_under(range(n * n), gens, lambda x, g: g[x])
+    for index, (_, orbit) in enumerate(orbitals):
+        for x in orbit:
+            colour[x] = index
+    return colour
+
+
+def set_key(colour, n, points) -> tuple:
+    """A G-invariant of a point set, from the orbital colour table."""
+    return tuple(sorted(
+        tuple(sorted(colour[a * n + b] for b in points)) for a in points
+    ))
+
+
+def maps_onto(levels, target) -> bool:
+    """Is some g in G with {level.point ...}^g == target?
+
+    levels[i] holds the orbit of its point under the stabilizer of the
+    points of the levels before it, with coset representatives u_s
+    (point -> s).  g factors as g_i u_s, g_i fixing those points, so the
+    search picks at level i a point s of the target's unmatched rest in
+    the level's orbit, and carries on with the preimage of the rest
+    without s under u_s (u_s fixes the points already matched).
+    """
+    if len(levels) != len(target):
+        return False
+
+    def search(i, rest):
+        if not rest:
+            return True
+        transversal = levels[i].transversal
+        for j, s in enumerate(rest):
+            if s in transversal:
+                inv = levels[i].inverse(s)
+                if search(i + 1, [inv[x] for x in rest[:j] + rest[j + 1:]]):
+                    return True
+        return False
+
+    return search(0, list(target))
+
+
 def canonical_prefixes(lattice: StabilizerLattice, max_depth=None, prune=None):
-    """DFS over canonical strictly-decreasing prefixes.
+    """DFS over canonical strictly-decreasing prefixes, one set per G-orbit.
 
     Yields (points_tuple, points_frozenset, stabilizer) in depth-first
     order, root (empty prefix) excluded.  ``prune(depth, stabilizer_order)``
-    may return True to skip extensions of a node.  Prefix sets already
-    visited through another ordering are skipped.
+    may return True to skip extensions of a node.  A prefix set whose
+    G-orbit was already visited, through this set or another, is skipped.
     """
-    seen: set[frozenset] = set()
+    n = lattice.group.degree
+    colour = orbital_colours(lattice.group)
+    # set key -> cut levels along the path of each visited set with that key
+    visited: dict[tuple, list[tuple]] = {}
 
-    def walk(points, fset, stab, order):
+    def walk(points, fset, stab, order, levels):
         depth = len(points)
         if max_depth is not None and depth >= max_depth:
             return
@@ -68,15 +155,17 @@ def canonical_prefixes(lattice: StabilizerLattice, max_depth=None, prune=None):
         # of those divides the order by its orbit length.
         for p in [orb[0] for orb in stab.orbits() if len(orb) > 1]:
             child_set = fset | {p}
-            if child_set in seen:
+            same_key = visited.setdefault(set_key(colour, n, child_set), [])
+            if any(maps_onto(path, child_set) for path in same_key):
                 continue
             child = stab.pointwise_stabilizer([p])
             child_order = child.order()
-            seen.add(child_set)
+            child_levels = levels + child._cut_levels
+            same_key.append(child_levels)
             lattice._memo.setdefault(child_set, child)
             lattice._orders.setdefault(child_set, child_order)
             yield points + (p,), child_set, child
-            yield from walk(points + (p,), child_set, child, child_order)
+            yield from walk(points + (p,), child_set, child, child_order, child_levels)
 
     root = lattice.stabilizer(frozenset())
-    yield from walk((), frozenset(), root, root.order())
+    yield from walk((), frozenset(), root, root.order(), ())
