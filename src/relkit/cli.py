@@ -213,10 +213,14 @@ def cmd_tests(args) -> int:
     selection = args.test
     lam = None
     if selection in ("beautiful", "all") and args.lambda_:
+        tokens = args.lambda_.split(",")
         try:
-            lam = [int(x) - 1 for x in args.lambda_.split(",")]
+            lam = [int(x) - 1 for x in tokens]
         except ValueError:
             raise BadParameter(f"--lambda needs comma-separated integers, not {args.lambda_!r}")
+        for token, p in zip(tokens, lam):
+            if not 0 <= p < group.degree:
+                raise BadParameter(f"--lambda point {token.strip()} outside 1..{group.degree}")
     elif selection == "beautiful":
         print("error: --lambda is required for the beautiful-subset test",
               file=sys.stderr)
@@ -311,12 +315,14 @@ def cmd_catalog(args) -> int:
 
 def cmd_verify(args) -> int:
     numbers = None
-    if args.filter:
+    if args.filter is not None:
         tokens = [t.strip() for t in args.filter.split(",")]
         numbers = set()
         from .verify import CRITERIA
 
         for token in tokens:
+            if not token:
+                raise BadParameter(f"--filter {args.filter!r} has an empty token")
             selected = {num for num, name, _ in CRITERIA
                         if (num == int(token) if token.isdigit() else token in name)}
             if not selected:

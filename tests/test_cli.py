@@ -116,6 +116,13 @@ def test_tests_bad_lambda_is_an_input_error(capsys, s4_file, lam):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("lam,bad", [("0,1", "0"), ("1,5", "5"), ("2, -3", "-3")])
+def test_tests_lambda_out_of_range_names_the_typed_point(capsys, s4_file, monkeypatch, lam, bad):
+    monkeypatch.setattr(cli, "run_battery", lambda *a, **k: pytest.fail("a test ran"))
+    assert main(["tests", s4_file, "--test=all", "--lambda", lam]) == 2
+    assert capsys.readouterr().err == f"error: --lambda point {bad} outside 1..4\n"
+
+
 def test_closure_command(capsys, tmp_path):
     path = tmp_path / "a4.json"
     dump_group(cat.alternating_natural(4).group, path)
@@ -306,6 +313,14 @@ def test_verify_filter_selecting_nothing_is_an_input_error(capsys, token):
     assert captured.out == ""  # no criterion ran
     assert captured.err.splitlines() == [captured.err.strip()]
     assert captured.err.startswith("error: ") and repr(token) in captured.err
+
+
+@pytest.mark.parametrize("spec", ["1,", ",1", "1,,2", ""])
+def test_verify_filter_empty_token_is_an_input_error(capsys, spec):
+    assert main(["verify", f"--filter={spec}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no criterion ran
+    assert captured.err.startswith("error: ") and "empty token" in captured.err
 
 
 def test_global_flags_both_positions(capsys, s4_file):
