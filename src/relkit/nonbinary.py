@@ -527,20 +527,26 @@ def _test5_scan(group, p, p_elements, allow_fixed_point_drop=True) -> TestOutcom
         degree % p == 0 and stab_order % p == 0 and stab_order % (p * p) != 0
     )
     max_fix = max((len(g.fixed_points()) for g in p_elements), default=0)
-    # conjugation classes of p-elements, grown under the generators
-    conjugators = [(s.inverse(), s) for s in group.generators]
+    # conjugation classes of p-elements, grown under the generators on
+    # image tuples: s^-1 x s sends i to s[x[s^-1[i]]]
+    conjugators = [(s.inverse().images, s.images) for s in group.generators]
     class_of = {}
     reps = []
-    for g, orbit in orbits_under(p_elements, conjugators, lambda x, c: c[0] * x * c[1]):
-        reps.append(g)
+    domain = [g.images for g in p_elements]
+    for g, orbit in orbits_under(domain, conjugators,
+                                 lambda x, c: tuple_image(tuple_image(c[0], x), c[1])):
+        reps.append(Permutation(g))
         for x in orbit:
             class_of[x] = g
     for g in reps:
         fix_g = set(g.fixed_points())
+        gi = g.images
+        powers = {(g ** i).images for i in range(p)}
+        # h commutes with g when h[g[i]] == g[h[i]] for every i
         commuting = [
             h
-            for h in p_elements
-            if g * h == h * g and all(h != g ** i for i in range(p))
+            for h, hi in zip(p_elements, domain)
+            if tuple_image(gi, hi) == tuple_image(hi, gi) and hi not in powers
         ]
         if rule1_applicable and fix_g:
             alpha = min(fix_g)
@@ -555,9 +561,9 @@ def _test5_scan(group, p, p_elements, allow_fixed_point_drop=True) -> TestOutcom
                     return TestOutcome("test5", NOT_BINARY, cert)
         if allow_fixed_point_drop and len(fix_g) == max_fix:
             for h in commuting:
-                if class_of.get(h) != class_of.get(g):
+                if class_of.get(h.images) != class_of.get(gi):
                     continue
-                if class_of.get(g * h.inverse()) != class_of.get(g):
+                if class_of.get((g * h.inverse()).images) != class_of.get(gi):
                     continue
                 fix_v = fix_g & set(h.fixed_points())
                 if len(fix_v) < len(fix_g):
