@@ -12,6 +12,11 @@ import itertools
 from .errors import GroupTooLarge, TooLarge
 from .perm import Permutation
 
+# The caps of the naive oracles: degree (they scan point subsets or tuples)
+# and group order (they close the generators under multiplication).
+NAIVE_MAX_DEGREE = 8
+NAIVE_MAX_ORDER = 10**4
+
 
 def mulclose(generators, degree, cap=None):
     """All elements of <generators> as image tuples, by closure."""
@@ -85,7 +90,7 @@ def _tuple_orbit_labels(gens, degree, length):
     return labels
 
 
-def naive_relational_complexity(group, max_degree=8, max_order=10**4) -> int:
+def naive_relational_complexity(group) -> int:
     """RC from the definition, over all pairs of distinct-entry tuples.
 
     Two tuples of length L are (L-1)-subtuple complete exactly when all
@@ -96,9 +101,9 @@ def naive_relational_complexity(group, max_degree=8, max_order=10**4) -> int:
     under the generators.
     """
     n = group.degree
-    if n > max_degree:
-        raise TooLarge(f"naive oracle capped at degree {max_degree}")
-    mulclose(group.generators, n, max_order)  # raises GroupTooLarge beyond cap
+    if n > NAIVE_MAX_DEGREE:
+        raise TooLarge(f"naive oracle capped at degree {NAIVE_MAX_DEGREE}")
+    mulclose(group.generators, n, NAIVE_MAX_ORDER)  # raises GroupTooLarge beyond cap
     gens = [g.images for g in group.generators]
     if not gens:
         return 2
@@ -163,7 +168,7 @@ def literal_relational_complexity(group, max_degree=4, max_length=None) -> int:
     return max(2, best + 1)
 
 
-def naive_base_statistics(group, max_degree=8, max_order=10**4):
+def naive_base_statistics(group):
     """(b, B, H, I) from the definitions, by scanning every point subset.
 
     The pointwise stabilizer of a set S is counted as the elements whose
@@ -174,11 +179,11 @@ def naive_base_statistics(group, max_degree=8, max_order=10**4):
     stabilizer at every step).
     """
     n = group.degree
-    if n > max_degree:
-        raise TooLarge(f"naive statistics capped at degree {max_degree}")
+    if n > NAIVE_MAX_DEGREE:
+        raise TooLarge(f"naive statistics capped at degree {NAIVE_MAX_DEGREE}")
     fixed = [
         sum(1 << p for p, x in enumerate(images) if p == x)
-        for images in mulclose(group.generators, n, max_order)
+        for images in mulclose(group.generators, n, NAIVE_MAX_ORDER)
     ]
     size = [0] * (1 << n)
     for mask in range(1 << n):

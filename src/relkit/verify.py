@@ -35,14 +35,11 @@ from .nonbinary import (
     run_battery,
     test1_character_bound,
 )
-from .oracle import naive_relational_complexity
+from .oracle import NAIVE_MAX_DEGREE, naive_relational_complexity
 from .perm import Permutation
 from .relcomp import relational_complexity
 from .stats import base_height_profile
 from .structures import automorphism_group, canonical_structure, is_homogeneous, structural_rc
-
-
-_NAIVE_MAX_DEGREE = 8  # the default degree cap of naive_relational_complexity
 
 
 def _check(checks, label, expected, got):
@@ -113,7 +110,7 @@ def criterion_rc_product():
         label = f"RC(product action, r={r}, degree {2**r})"
         rc = _rc(entry.group)
         _check(checks, label, entry.expected_rc, rc)
-        if entry.group.degree <= _NAIVE_MAX_DEGREE:
+        if entry.group.degree <= NAIVE_MAX_DEGREE:
             _check(checks, f"{label} vs naive oracle",
                    naive_relational_complexity(entry.group), rc)
     return _result(checks)
@@ -273,7 +270,7 @@ def criterion_diagonal_patch():
         if outcome.not_binary:
             _check(checks, f"diagonal witness on {label} re-verifies",
                    True, outcome.verify(action))
-        if action.degree <= _NAIVE_MAX_DEGREE:
+        if action.degree <= NAIVE_MAX_DEGREE:
             _check(checks, f"diagonal verdict on {label} matches naive oracle",
                    naive_relational_complexity(action) > 2, outcome.not_binary)
         else:
