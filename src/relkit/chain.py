@@ -68,6 +68,34 @@ class _Level:
         return inv
 
 
+def maps_onto(levels, target) -> bool:
+    """Does some g in G map the set of the levels' points onto target?
+
+    levels is a prefix of a chain of G: levels[i] holds the orbit of its
+    point under the stabilizer of the points of the levels before it, with
+    coset representatives u_s (point -> s).  g factors as g_i u_s, g_i
+    fixing those points, so the search picks at level i a point s of the
+    target's unmatched rest in the level's orbit, and carries on with the
+    preimage of the rest without s under u_s (u_s fixes the points already
+    matched).  A descent like _descend, over a set instead of a tuple.
+    """
+    if len(levels) != len(target):
+        return False
+
+    def search(i, rest):
+        if not rest:
+            return True
+        transversal = levels[i].transversal
+        for j, s in enumerate(rest):
+            if s in transversal:
+                inv = levels[i].inverse(s)
+                if search(i + 1, [inv[x] for x in rest[:j] + rest[j + 1:]]):
+                    return True
+        return False
+
+    return search(0, list(target))
+
+
 class StabilizerChain:
     """Base, transversals and strong generators for a permutation group."""
 

@@ -85,8 +85,8 @@ class PermutationGroup:
         # The group order once known: handed in by rebased() or
         # pointwise_stabilizer(), or read off this group's chain.
         self._order: int | None = _order
-        # pointwise_stabilizer() keeps here the levels it cut from its
-        # parent's chain (see there); empty for any other group.
+        # pointwise_stabilizer(keep_levels=True) keeps here the levels it
+        # cut from its parent's chain (see there); empty otherwise.
         self._cut_levels: tuple = ()
         self._chain: StabilizerChain | None = None
         self._lock = threading.Lock()
@@ -220,7 +220,7 @@ class PermutationGroup:
         chain = self._prefix_chain([a for a, _ in pairs])
         return chain.descend([b for _, b in pairs])
 
-    def pointwise_stabilizer(self, points) -> "PermutationGroup":
+    def pointwise_stabilizer(self, points, *, keep_levels=False) -> "PermutationGroup":
         points = list(points)
         for p in points:
             self._check_point(p)
@@ -231,11 +231,13 @@ class PermutationGroup:
         # has its own base and transversals, which fix the order in which
         # elements() enumerates the stabilizer.
         stab = PermutationGroup(self.degree, gens, _order=chain.order_below(k))
-        # The cut levels: level i holds the orbit of points[i] under the
-        # stabilizer of the points before it, with coset representatives
-        # and their cached inverses.  The walk in search.py tests set
-        # images along them without building another chain.
-        stab._cut_levels = tuple(chain._levels[:k])
+        if keep_levels:
+            # The cut levels: level i holds the orbit of points[i] under the
+            # stabilizer of the points before it, with coset representatives
+            # and their cached inverses.  The walk in search.py tests set
+            # images along them without building another chain.  Only it
+            # asks: each level holds an orbit's worth of permutations.
+            stab._cut_levels = tuple(chain._levels[:k])
         return stab
 
     def pointwise_stabilizer_order(self, points) -> int:

@@ -32,9 +32,11 @@ reads orbit invariants and a best level that orbit-mates never raise, so
 it cuts the same first sets.  RC, its witness (I, J) and the b/B/H/I
 witnesses are the plain walk's.  The witness's transporters are words in
 the generators of the side groups the lattice serves; a side set the
-plain walk visited but the orbit walk skips is now built by the
-lattice's own recursion, so those words are not covered by the argument
-(they are unchanged on every default catalog entry).
+plain walk visited but the orbit walk skips is built by the lattice's
+own recursion instead, so the argument does not cover those words.
+tests/test_search.py compares the whole witness with the plain walk's
+(on every group tried, the side groups of a witness prefix have the
+same generators whichever way they are built).
 
 Two sets are tested in two steps.  A key first: per point the sorted
 colours of the orbitals (G-orbits on ordered pairs, diagonal included)
@@ -50,6 +52,7 @@ backtrack with partition refinement on top).
 
 from __future__ import annotations
 
+from .chain import maps_onto
 from .group import PermutationGroup, orbits_under
 
 
@@ -103,33 +106,6 @@ def set_key(colour, n, points) -> tuple:
     ))
 
 
-def maps_onto(levels, target) -> bool:
-    """Is some g in G with {level.point ...}^g == target?
-
-    levels[i] holds the orbit of its point under the stabilizer of the
-    points of the levels before it, with coset representatives u_s
-    (point -> s).  g factors as g_i u_s, g_i fixing those points, so the
-    search picks at level i a point s of the target's unmatched rest in
-    the level's orbit, and carries on with the preimage of the rest
-    without s under u_s (u_s fixes the points already matched).
-    """
-    if len(levels) != len(target):
-        return False
-
-    def search(i, rest):
-        if not rest:
-            return True
-        transversal = levels[i].transversal
-        for j, s in enumerate(rest):
-            if s in transversal:
-                inv = levels[i].inverse(s)
-                if search(i + 1, [inv[x] for x in rest[:j] + rest[j + 1:]]):
-                    return True
-        return False
-
-    return search(0, list(target))
-
-
 def canonical_prefixes(lattice: StabilizerLattice, max_depth=None, prune=None):
     """DFS over canonical strictly-decreasing prefixes, one set per G-orbit.
 
@@ -158,7 +134,7 @@ def canonical_prefixes(lattice: StabilizerLattice, max_depth=None, prune=None):
             same_key = visited.setdefault(set_key(colour, n, child_set), [])
             if any(maps_onto(path, child_set) for path in same_key):
                 continue
-            child = stab.pointwise_stabilizer([p])
+            child = stab.pointwise_stabilizer([p], keep_levels=True)
             child_order = child.order()
             child_levels = levels + child._cut_levels
             same_key.append(child_levels)

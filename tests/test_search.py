@@ -1,31 +1,47 @@
 """The prefix walk against a plain copy of the walk that skips only
-repeated sets, with G-equivalence of sets decided by brute force."""
+repeated sets, with G-equivalence of sets decided by brute force, and
+RC's witness against the one the plain walk gives."""
+
+from unittest import mock
 
 from hypothesis import example, given, settings
 
+from relkit import catalog as cat
+from relkit import relcomp
+from relkit.chain import maps_onto
 from relkit.group import PermutationGroup
 from relkit.oracle import mulclose
 from relkit.perm import Permutation
-from relkit.search import StabilizerLattice, canonical_prefixes, maps_onto
+from relkit.search import StabilizerLattice, canonical_prefixes
 from test_chain import subgroups_with_points
 
 
-def set_dedup_walk(group):
+def set_dedup_walk(lattice, max_depth=None, prune=None):
     """The reference walk: canonical prefixes, skipping a child only when
-    its set was visited before."""
+    its set was visited before, and memoising every visited set's
+    stabilizer in the lattice."""
     seen = set()
 
-    def walk(points, fset, stab):
+    def walk(points, fset, stab, order):
+        depth = len(points)
+        if max_depth is not None and depth >= max_depth:
+            return
+        if prune is not None and prune(depth, order):
+            return
         for p in [orb[0] for orb in stab.orbits() if len(orb) > 1]:
             child_set = fset | {p}
             if child_set in seen:
                 continue
             child = stab.pointwise_stabilizer([p])
+            child_order = child.order()
             seen.add(child_set)
+            lattice._memo.setdefault(child_set, child)
+            lattice._orders.setdefault(child_set, child_order)
             yield points + (p,), child_set, child
-            yield from walk(points + (p,), child_set, child)
+            yield from walk(points + (p,), child_set, child, child_order)
 
-    yield from walk((), frozenset(), group)
+    root = lattice.stabilizer(frozenset())
+    yield from walk((), frozenset(), root, root.order())
 
 
 def set_orbit(elements, points):
@@ -46,7 +62,7 @@ def test_walk_yields_the_first_set_of_each_orbit(case):
     elements = mulclose(group.generators, degree)
     orbits_seen = set()
     firsts = []
-    for points, fset, stab in set_dedup_walk(group):
+    for points, fset, stab in set_dedup_walk(StabilizerLattice(group)):
         orbit = set_orbit(elements, fset)
         if orbit not in orbits_seen:
             orbits_seen.add(orbit)
@@ -59,13 +75,33 @@ def test_walk_yields_the_first_set_of_each_orbit(case):
 
 
 @given(subgroups_with_points())
+@example(PSL25)
+@example((7, cat.intransitive_join(5).group.generators, []))
+@example((10, cat.k_subsets_action("Sym", 5, 2).group.generators, []))
+@settings(max_examples=80, deadline=None)
+def test_rc_witness_equals_the_set_dedup_walks(case):
+    # The witness's transporters are words in the generators of the side
+    # groups the lattice serves, which the walk's memo can change: the
+    # certificate must be the one the set-dedup walk gives.
+    degree, gens, _ = case
+    group = PermutationGroup(degree, gens)
+    rc, witness = relcomp.relational_complexity(group)
+    with mock.patch.object(relcomp, "canonical_prefixes", set_dedup_walk):
+        want_rc, want = relcomp.relational_complexity(group)
+    assert rc == want_rc
+    assert (witness is None) == (want is None)
+    if witness is not None:
+        assert witness.to_json() == want.to_json()
+
+
+@given(subgroups_with_points())
 @settings(max_examples=80, deadline=None)
 def test_maps_onto_matches_brute_force(case):
     degree, gens, points = case
     group = PermutationGroup(degree, gens)
     elements = mulclose(group.generators, degree)
     points = list(dict.fromkeys(points))
-    stab = group.pointwise_stabilizer(points)
+    stab = group.pointwise_stabilizer(points, keep_levels=True)
     source = frozenset(points)
     # images of the source (always reached) and of {0, .., k-1} (sometimes)
     for images in elements[:: max(1, len(elements) // 20)]:
