@@ -38,9 +38,6 @@ class Digraph:
     def to_json(self) -> dict:
         return {"vertices": self.vertices, "edges": sorted(list(e) for e in self.edges)}
 
-    def is_symmetric(self) -> bool:
-        return all((b, a) in self.edges for a, b in self.edges)
-
     def is_antisymmetric(self) -> bool:
         return all((b, a) not in self.edges for a, b in self.edges)
 

@@ -313,7 +313,12 @@ class PermutationGroup:
         n = self.degree
         if n == 1:
             return True, None
-        for q in range(1, n):
+        # h in G_0 maps the block system through {0, q} onto itself, so the
+        # scan needs one q per G_0-orbit, its minimum (the chain for G_0
+        # is cheap to rebase once the order is known)
+        self.order()
+        g0 = [g.images for g in self._prefix_chain([0]).strong_generators_below(1)]
+        for q, _ in orbits_under(range(1, n), g0, lambda x, g: g[x]):
             blocks = self._minimal_block(0, q)
             if 1 < len(blocks[0]) < n:
                 return False, blocks

@@ -177,47 +177,57 @@ def _witness_at_prefix(lattice, prefix_set, stab):
     return None
 
 
-def relational_complexity(group, degree_cap=RC_DEGREE_CAP, order_cap=RC_ORDER_CAP):
-    """Exact RC with a maximal witness pair, or (2, None) for binary actions."""
+class WitnessSearch:
+    """RC's consumer of the prefix walk: visit() takes the nodes in walk
+    order, and prune() is RC's cut, read after the node was visited."""
+
+    def __init__(self, lattice):
+        self.lattice = lattice
+        self.best_level = 1
+        self.best = None
+
+    def prune(self, depth, order):
+        # a strictly decreasing chain below this node gains at most log2(order) points
+        return depth + max(0, order.bit_length() - 1) <= self.best_level
+
+    def visit(self, points, fset, stab):
+        if len(points) > self.best_level:
+            hit = _witness_at_prefix(self.lattice, fset, stab)
+            if hit is not None:
+                self.best_level = len(points)
+                self.best = (tuple(sorted(fset)), hit)
+
+    def result(self):
+        """(RC, maximal witness pair), or (2, None) for a binary action."""
+        if self.best is None:
+            return 2, None
+        prefix, (alpha, beta, side_transporters) = self.best
+        m = len(prefix)
+        transporters = {tuple(range(m)): self.lattice.group.identity()}
+        for dropped, perm in side_transporters.items():
+            transporters[tuple(i for i in range(m + 1) if i != dropped)] = perm
+        witness = TuplePair(I=prefix + (alpha,), J=prefix + (beta,),
+                            completeness_level=m, transporters=transporters)
+        return m + 1, witness
+
+
+def check_rc_caps(group, degree_cap=RC_DEGREE_CAP, order_cap=RC_ORDER_CAP):
     if group.degree > degree_cap:
         raise DegreeTooLarge(f"degree {group.degree} exceeds cap {degree_cap}")
     if group.order() > order_cap:
         raise GroupTooLarge(f"order {group.order()} exceeds cap {order_cap}")
+
+
+def relational_complexity(group, degree_cap=RC_DEGREE_CAP, order_cap=RC_ORDER_CAP):
+    """Exact RC with a maximal witness pair, or (2, None) for binary actions."""
+    check_rc_caps(group, degree_cap, order_cap)
     if group.degree < 2 or group.is_trivial():
         return 2, None
     lattice = StabilizerLattice(group)
-    best_level = 1
-    best_data = None
-
-    def prune(depth, order):
-        # a strictly decreasing chain below this node gains at most log2(order) points
-        return depth + max(0, order.bit_length() - 1) <= best_level
-
-    for points, fset, stab in canonical_prefixes(lattice, prune=prune):
-        if len(points) <= max(1, best_level):
-            continue
-        hit = _witness_at_prefix(lattice, fset, stab)
-        if hit is not None:
-            best_level = len(points)
-            best_data = (tuple(sorted(fset)), hit)
-    if best_data is None:
-        return 2, None
-    prefix, (alpha, beta, side_transporters) = best_data
-    m = len(prefix)
-    I = prefix + (alpha,)
-    J = prefix + (beta,)
-    transporters = {tuple(range(m)): group.identity()}
-    for dropped, perm in side_transporters.items():
-        subset = tuple(i for i in range(m + 1) if i != dropped)
-        transporters[subset] = perm
-    witness = TuplePair(
-        I=I,
-        J=J,
-        completeness_level=m,
-        transporters=transporters,
-        equivalent=False,
-    )
-    return best_level + 1, witness
+    search = WitnessSearch(lattice)
+    for node in canonical_prefixes(lattice, prune=search.prune):
+        search.visit(*node)
+    return search.result()
 
 
 def is_binary(group, **caps) -> bool:

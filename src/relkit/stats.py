@@ -10,6 +10,20 @@ prefixes (see search.py):
   - independent sets are the prefixes where dropping any single point
     enlarges the stabilizer, giving H as the deepest one;
   - minimal bases are independent bases, giving B.
+
+`relkit stats` walks once, unpruned, and feeds every node to RC's
+consumer too; `relkit rc` keeps the pruned walk.  RC's answer holds if
+it checks for a witness on exactly the nodes its pruned walk checks, in
+order: the live nodes.  The root is live unless prune(0, |G|); a child
+is live when its parent was live and not cut by the prune read after RC
+visited the parent.  No flag is needed: RC checks only nodes deeper
+than its best level, and each step down at least halves the order, so
+a node under a cut node A has depth <= depth(A) + log2|G_A| <= best.
+If the unpruned walk skips a live node N for an earlier orbit-mate M,
+either the pruned walk visited M and skips N too, or M lies under a cut
+node and depth(N) = depth(M) <= best.  Witness transporters are words
+in side-group generators, and the shared lattice also holds groups the
+pruned walk never built; tests/test_stats.py compares the reports.
 """
 
 from __future__ import annotations
@@ -17,9 +31,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DegreeTooLarge, InternalInconsistency
+from .errors import DegreeTooLarge, GroupTooLarge, InternalInconsistency
 from .group import PermutationGroup
-from .relcomp import TuplePair, relational_complexity
+from .relcomp import TuplePair, WitnessSearch, check_rc_caps
 from .search import StabilizerLattice, canonical_prefixes
 
 STATS_DEGREE_CAP = 120
@@ -37,48 +51,45 @@ class BaseHeightProfile:
     max_irredundant_witness: tuple
 
 
+class ProfileSearch:
+    """The b/B/H/I consumer of the prefix walk: visit() takes the nodes in
+    walk order."""
+
+    def __init__(self, lattice):
+        self.lattice = lattice
+        # the trivial group's walk is empty, and its profile all zeros
+        self.b = 0 if lattice.group.is_trivial() else None
+        self.b_wit = self.big_b_wit = self.h_wit = self.irr_wit = ()
+        self.big_b = self.h = self.irr = 0
+
+    def visit(self, points, fset, stab):
+        depth = len(points)
+        trivial = stab.is_trivial()
+        if trivial:
+            if self.b is None or depth < self.b:
+                self.b, self.b_wit = depth, points
+            if depth > self.irr:
+                self.irr, self.irr_wit = depth, points
+        if depth > self.h and self.lattice.is_independent(fset):
+            self.h, self.h_wit = depth, points
+        if trivial and depth > self.big_b and self.lattice.is_independent(fset):
+            self.big_b, self.big_b_wit = depth, points
+
+    def result(self) -> BaseHeightProfile:
+        if self.b is None:
+            raise InternalInconsistency("faithful action must admit a base")
+        return BaseHeightProfile(self.b, self.b_wit, self.big_b, self.big_b_wit,
+                                 self.h, self.h_wit, self.irr, self.irr_wit)
+
+
 def base_height_profile(group: PermutationGroup, degree_cap=STATS_DEGREE_CAP):
     if group.degree > degree_cap:
         raise DegreeTooLarge(f"degree {group.degree} exceeds cap {degree_cap}")
     lattice = StabilizerLattice(group)
-    if group.is_trivial():
-        empty = ()
-        return BaseHeightProfile(0, empty, 0, empty, 0, empty, 0, empty)
-    b = None
-    b_wit = None
-    big_b = 0
-    big_b_wit = ()
-    h = 0
-    h_wit = ()
-    irr = 0
-    irr_wit = ()
-    for points, fset, stab in canonical_prefixes(lattice):
-        depth = len(points)
-        trivial = stab.is_trivial()
-        if trivial:
-            if b is None or depth < b:
-                b, b_wit = depth, points
-            if depth > irr:
-                irr, irr_wit = depth, points
-        if depth > h and lattice.is_independent(fset):
-            h, h_wit = depth, points
-        if trivial and depth > big_b and lattice.is_independent(fset):
-            big_b, big_b_wit = depth, points
-    if b is None:
-        raise InternalInconsistency("faithful action must admit a base")
-    return BaseHeightProfile(b, b_wit, big_b, big_b_wit, h, h_wit, irr, irr_wit)
-
-
-def min_base(group, **caps) -> int:
-    return base_height_profile(group, **caps).min_base
-
-
-def max_minimal_base(group, **caps) -> int:
-    return base_height_profile(group, **caps).max_minimal_base
-
-
-def max_irredundant_base(group, **caps) -> int:
-    return base_height_profile(group, **caps).max_irredundant
+    search = ProfileSearch(lattice)
+    for node in canonical_prefixes(lattice):
+        search.visit(*node)
+    return search.result()
 
 
 def height(group, **caps):
@@ -126,21 +137,29 @@ class StatisticsReport:
 
 
 def compute_statistics(group: PermutationGroup, rc_caps=None) -> StatisticsReport:
-    """Assemble the full report; RC is reported as skipped beyond its caps."""
-    from .errors import DegreeTooLarge, GroupTooLarge
-
-    profile = base_height_profile(group)
+    """Assemble the full report from one walk; RC is reported as skipped
+    beyond its caps."""
+    if group.degree > STATS_DEGREE_CAP:
+        raise DegreeTooLarge(f"degree {group.degree} exceeds cap {STATS_DEGREE_CAP}")
+    lattice = StabilizerLattice(group)
+    profile = ProfileSearch(lattice)
+    witness_search = None
+    skipped = {}
+    try:
+        check_rc_caps(group, **(rc_caps or {}))
+        witness_search = WitnessSearch(lattice)
+    except (DegreeTooLarge, GroupTooLarge) as exc:
+        skipped["rc"] = f"skipped(cap): {exc}"
+    for node in canonical_prefixes(lattice):
+        if witness_search is not None:
+            witness_search.visit(*node)
+        profile.visit(*node)
+    profile = profile.result()
+    rc, rc_witness = witness_search.result() if witness_search is not None else (None, None)
     transitive = group.is_transitive()
     primitive = None
     if transitive:
         primitive, _ = group.is_primitive()
-    skipped = {}
-    rc = None
-    rc_witness = None
-    try:
-        rc, rc_witness = relational_complexity(group, **(rc_caps or {}))
-    except (DegreeTooLarge, GroupTooLarge) as exc:
-        skipped["rc"] = f"skipped(cap): {exc}"
     report = StatisticsReport(
         order=group.order(),
         degree=group.degree,

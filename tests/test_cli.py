@@ -215,7 +215,7 @@ def test_internal_inconsistency_exit_code(capsys, s4_file, monkeypatch):
 
     # b > B breaks the statistic chain b <= B <= H <= I
     broken = stats.BaseHeightProfile(3, (0, 1, 2), 1, (0,), 3, (0, 1, 2), 3, (0, 1, 2))
-    monkeypatch.setattr(stats, "base_height_profile", lambda group: broken)
+    monkeypatch.setattr(stats.ProfileSearch, "result", lambda self: broken)
     code = main(["stats", s4_file, "--format=json"])
     captured = capsys.readouterr()
     assert code == 4

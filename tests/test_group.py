@@ -2,10 +2,12 @@
 
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from relkit import catalog as cat
 from relkit.errors import (
     DegreeMismatch,
     NotInGroup,
@@ -264,6 +266,63 @@ def test_imprimitive_c6():
 def test_primitive_requires_transitive():
     with pytest.raises(NotTransitive):
         G(4, "(1 2)").is_primitive()
+
+
+def full_scan_is_primitive(group):
+    """is_primitive as it was: a minimal block through {0, q} for every q."""
+    n = group.degree
+    for q in range(1, n):
+        blocks = group._minimal_block(0, q)
+        if 1 < len(blocks[0]) < n:
+            return False, blocks
+    return True, None
+
+
+@st.composite
+def transitive_groups(draw):
+    """A transitive group preserving a random block system (blocks of size
+    d, d | n, which may be trivial), relabeled at random: the block-cycling
+    generator makes it transitive, the others act inside blocks and
+    permute them."""
+    n = draw(st.integers(2, 12))
+    d = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    m = n // d
+
+    def blockwise(block_perm, inner):
+        return [block_perm[x // d] * d + inner[block_perm[x // d]][x % d] for x in range(n)]
+
+    cycle = [(x + 1) % m for x in range(m)]
+    gens = [blockwise(cycle, [[(y + (b == m - 1)) % d for y in range(d)] for b in range(m)])]
+    for _ in range(draw(st.integers(0, 2))):
+        block_perm = draw(st.permutations(range(m)))
+        gens.append(blockwise(block_perm, [draw(st.permutations(range(d))) for _ in range(m)]))
+    label = draw(st.permutations(range(n)))
+    inverse = [label.index(y) for y in range(n)]
+    return PermutationGroup(n, [Permutation([label[g[inverse[y]]] for y in range(n)])
+                                for g in gens])
+
+
+def relabeled(group, seed):
+    label = list(range(group.degree))
+    random.Random(seed).shuffle(label)
+    inverse = [label.index(y) for y in range(group.degree)]
+    return PermutationGroup(group.degree, [
+        Permutation([label[g.images[inverse[y]]] for y in range(group.degree)])
+        for g in group.generators])
+
+
+@given(transitive_groups())
+@settings(max_examples=150, deadline=None)
+def test_primitive_scan_by_suborbit_matches_full_scan(group):
+    assert group.is_transitive()
+    assert group.is_primitive() == full_scan_is_primitive(group)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_primitive_scan_by_suborbit_on_catalog_groups(seed):
+    for entry in (cat.dihedral_polygon(12), cat.cyclic_regular(12), cat.product_action(3, 2)):
+        group = relabeled(entry.group, seed)
+        assert group.is_primitive() == full_scan_is_primitive(group)
 
 
 # -- conjugator ----------------------------------------------------------------------
