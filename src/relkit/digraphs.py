@@ -10,6 +10,7 @@ so is (mate(w), v), and whenever (w, v) is an edge so is (v, mate(w)).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -165,31 +166,27 @@ def sporadic_h2() -> Digraph:
 # -- canonical forms and enumeration ----------------------------------------
 
 
-def _edge_bits(graph: Digraph):
-    """Edge set as a bitmask over ordered pairs (a, b), a != b, lex order."""
-    n = graph.vertices
+@functools.cache
+def _relabelled_bits(n):
+    """Per ordered pair (a, b), a != b, in lex order: the bit of its image
+    under each relabeling in itertools.permutations order, as a tuple."""
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    index = {p: i for i, p in enumerate(pairs)}
-    mask = 0
-    for e in graph.edges:
-        mask |= 1 << index[e]
-    return mask, pairs, index
+    bit = {p: 1 << i for i, p in enumerate(pairs)}
+    perms = list(itertools.permutations(range(n)))
+    return {(a, b): tuple(bit[(perm[a], perm[b])] for perm in perms) for a, b in pairs}
 
 
 def canonical_form(graph: Digraph) -> int:
-    """Minimum edge bitmask over all vertex relabelings."""
+    """Minimum edge bitmask over all vertex relabelings (bit i for the
+    i-th ordered pair (a, b), a != b, in lex order)."""
     n = graph.vertices
     if n > 7:
         raise TooLarge("canonical form by full relabeling capped at 7 vertices")
-    mask, pairs, index = _edge_bits(graph)
-    best = None
-    for perm in itertools.permutations(range(n)):
-        relabeled = 0
-        for a, b in graph.edges:
-            relabeled |= 1 << index[(perm[a], perm[b])]
-        if best is None or relabeled < best:
-            best = relabeled
-    return best
+    if not graph.edges:
+        return 0
+    bits = _relabelled_bits(n)
+    # a relabeling maps distinct pairs to distinct bits, so the sum is the mask
+    return min(map(sum, zip(*map(bits.__getitem__, graph.edges))))
 
 
 def digraphs_isomorphic(g1: Digraph, g2: Digraph) -> bool:

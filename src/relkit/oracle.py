@@ -68,6 +68,30 @@ def brute_automorphism_count(structure) -> int:
     return count
 
 
+def brute_is_homogeneous(structure) -> bool:
+    """Does every isomorphism between induced substructures extend to an
+    automorphism?  Tries every injective map of every vertex subset
+    against every automorphism, all listed as permutations."""
+    if structure.vertices > 5:
+        raise TooLarge("brute homogeneity capped at 5 vertices")
+    verts = range(structure.vertices)
+
+    def preserves(domain, images):
+        image = dict(zip(domain, images))
+        return all((t in tuples) == (tuple(image[v] for v in t) in tuples)
+                   for arity, tuples in structure.relations
+                   for t in itertools.product(domain, repeat=arity))
+
+    auts = [images for images in itertools.permutations(verts) if preserves(verts, images)]
+    for size in range(1, structure.vertices):
+        for domain in itertools.combinations(verts, size):
+            for images in itertools.permutations(verts, size):
+                if preserves(domain, images) and not any(
+                        all(aut[v] == w for v, w in zip(domain, images)) for aut in auts):
+                    return False
+    return True
+
+
 def _tuple_orbit_labels(gens, degree, length):
     """Orbit index for every distinct-entry tuple of the given length."""
     labels = {}

@@ -106,7 +106,7 @@ def set_key(colour, n, points) -> tuple:
     ))
 
 
-def canonical_prefixes(lattice: StabilizerLattice, max_depth=None, prune=None):
+def canonical_prefixes(lattice: StabilizerLattice, prune=None):
     """DFS over canonical strictly-decreasing prefixes, one set per G-orbit.
 
     Yields (points_tuple, points_frozenset, stabilizer) in depth-first
@@ -120,10 +120,7 @@ def canonical_prefixes(lattice: StabilizerLattice, max_depth=None, prune=None):
     visited: dict[tuple, list[tuple]] = {}
 
     def walk(points, fset, stab, order, levels):
-        depth = len(points)
-        if max_depth is not None and depth >= max_depth:
-            return
-        if prune is not None and prune(depth, order):
+        if prune is not None and prune(len(points), order):
             return
         # A point the stabilizer fixes cannot shrink it, so only the minima
         # of nontrivial orbits extend the prefix (orbits() lists each orbit

@@ -136,11 +136,10 @@ class StatisticsReport:
         return out
 
 
-def compute_statistics(group: PermutationGroup, rc_caps=None) -> StatisticsReport:
-    """Assemble the full report from one walk; RC is reported as skipped
-    beyond its caps."""
-    if group.degree > STATS_DEGREE_CAP:
-        raise DegreeTooLarge(f"degree {group.degree} exceeds cap {STATS_DEGREE_CAP}")
+def profile_and_rc(group: PermutationGroup, rc_caps=None):
+    """b/B/H/I and RC from one unpruned walk: (profile, rc, rc_witness,
+    skipped).  Past RC's caps, rc and rc_witness are None and skipped["rc"]
+    says why."""
     lattice = StabilizerLattice(group)
     profile = ProfileSearch(lattice)
     witness_search = None
@@ -154,8 +153,16 @@ def compute_statistics(group: PermutationGroup, rc_caps=None) -> StatisticsRepor
         if witness_search is not None:
             witness_search.visit(*node)
         profile.visit(*node)
-    profile = profile.result()
     rc, rc_witness = witness_search.result() if witness_search is not None else (None, None)
+    return profile.result(), rc, rc_witness, skipped
+
+
+def compute_statistics(group: PermutationGroup, rc_caps=None) -> StatisticsReport:
+    """Assemble the full report from one walk; RC is reported as skipped
+    beyond its caps."""
+    if group.degree > STATS_DEGREE_CAP:
+        raise DegreeTooLarge(f"degree {group.degree} exceeds cap {STATS_DEGREE_CAP}")
+    profile, rc, rc_witness, skipped = profile_and_rc(group, rc_caps)
     transitive = group.is_transitive()
     primitive = None
     if transitive:

@@ -13,6 +13,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import ArityTooLarge, CapExceeded, ParseError, TooLarge, VertexOutOfRange
 from .group import PermutationGroup, orbits_under, tuple_image
@@ -141,33 +142,64 @@ def _tuples_through(pool, v, arity):
                 yield head + (v,) + tail
 
 
-def _extension_consistent(source, target, domain, images, v, c):
-    """Can v -> c extend the partial map?  Every tuple over the assigned
-    vertices that involves v must lie in the same relations as its
-    image, which checks both directions of every relation at once."""
-    assigned = dict(zip(domain, images))
-    assigned[v] = c
-    pool = list(assigned)
+def _level_checks(source, target, domain):
+    """Level k's check extends a partial map domain[:k] -> images by
+    domain[k] -> c.  One list serves every codomain the search tries."""
+    return [_LevelCheck(_level_entries(source, target, domain, k)) for k in range(len(domain))]
+
+
+def _level_entries(source, target, domain, k):
+    """Per arity, for every tuple over domain[:k+1] involving domain[k]:
+    the target's table, the tuple's positions in domain[:k+1] as an item
+    getter (arities are >= 2, so it returns a tuple), and the tuple's
+    source signature."""
+    pool = domain[:k + 1]
+    position = {x: i for i, x in enumerate(pool)}
     dst_tables = target.signature
     for arity, src in source.signature.items():
         dst = dst_tables[arity]
-        for t in _tuples_through(pool, v, arity):
-            if src.get(t, ()) != dst.get(tuple(assigned[x] for x in t), ()):
+        for t in _tuples_through(pool, pool[k], arity):
+            yield dst, itemgetter(*map(position.__getitem__, t)), src.get(t, ())
+
+
+class _LevelCheck:
+    """Does images + (c,) still map every tuple through domain[k] into the
+    same relations as the tuple itself?  That checks both directions of
+    every relation at once.  Entries are drawn from the level's generator
+    only as far as some candidate has needed, since most candidates fail
+    on an early one, and kept for the next candidate."""
+
+    def __init__(self, entries):
+        self.built = []
+        self.rest = entries
+
+    def passes(self, row):
+        for dst, get, sig in self.built:
+            if dst.get(get(row), ()) != sig:
                 return False
-    return True
+        for entry in self.rest:
+            self.built.append(entry)
+            dst, get, sig = entry
+            if dst.get(get(row), ()) != sig:
+                return False
+        return True
 
 
-def _extensions(source, target, domain, codomain, images=()):
+def _extensions(checks, codomain, images=()):
     """Every extension of the partial isomorphism domain[i] -> images[i]
-    to all of domain, as image tuples (streaming): the next point of
-    domain tries the unused points of codomain in order."""
-    if len(images) == len(domain):
+    to all of the domain the level checks were made for, as image tuples
+    (streaming): the next point of the domain tries the unused points of
+    codomain in order."""
+    k = len(images)
+    if k == len(checks):
         yield images
         return
-    v = domain[len(images)]
+    check = checks[k]
     for c in codomain:
-        if c not in images and _extension_consistent(source, target, domain, images, v, c):
-            yield from _extensions(source, target, domain, codomain, images + (c,))
+        if c not in images:
+            row = images + (c,)
+            if check.passes(row):
+                yield from _extensions(checks, codomain, row)
 
 
 def structure_isomorphisms(source, target):
@@ -180,7 +212,7 @@ def structure_isomorphisms(source, target):
     if source.arity_sequence() != target.arity_sequence():
         return
     points = range(source.vertices)
-    yield from _extensions(source, target, points, points)
+    yield from _extensions(_level_checks(source, target, points), points)
 
 
 def automorphism_group(structure, generators=()) -> PermutationGroup:
@@ -197,14 +229,16 @@ def automorphism_group(structure, generators=()) -> PermutationGroup:
         raise VertexOutOfRange("empty structure has no automorphism group")
     points = range(n)
     known = PermutationGroup(n, generators, base_prefix=points)
+    checks = _level_checks(structure, structure, points)
     for d in range(n - 1, -1, -1):
         prefix = tuple(range(d))
         for c in range(d, n):
             if c in known.chain.transversal(d):
                 continue
-            if not _extension_consistent(structure, structure, prefix, prefix, d, c):
+            row = prefix + (c,)
+            if not checks[d].passes(row):
                 continue
-            images = next(_extensions(structure, structure, points, points, prefix + (c,)), None)
+            images = next(_extensions(checks, points, row), None)
             if images is not None:
                 sigma = Permutation(images)
                 known = PermutationGroup(n, known.generators + (sigma,), base_prefix=points)
@@ -236,8 +270,9 @@ def is_homogeneous(structure, vertex_cap=HOMOGENEITY_VERTEX_CAP, aut=None):
         )
         for src, _ in subset_orbits:
             src_sorted = tuple(sorted(src))
+            checks = _level_checks(structure, structure, src_sorted)
             for dst in subsets:
-                for image in _extensions(structure, structure, src_sorted, sorted(dst)):
+                for image in _extensions(checks, sorted(dst)):
                     if aut.transporter(src_sorted, image) is None:
                         return False, dict(zip(src_sorted, image))
     return True, None

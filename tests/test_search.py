@@ -16,17 +16,14 @@ from relkit.search import StabilizerLattice, canonical_prefixes
 from test_chain import subgroups_with_points
 
 
-def set_dedup_walk(lattice, max_depth=None, prune=None):
+def set_dedup_walk(lattice, prune=None):
     """The reference walk: canonical prefixes, skipping a child only when
     its set was visited before, and memoising every visited set's
     stabilizer in the lattice."""
     seen = set()
 
     def walk(points, fset, stab, order):
-        depth = len(points)
-        if max_depth is not None and depth >= max_depth:
-            return
-        if prune is not None and prune(depth, order):
+        if prune is not None and prune(len(points), order):
             return
         for p in [orb[0] for orb in stab.orbits() if len(orb) > 1]:
             child_set = fset | {p}

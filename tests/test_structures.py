@@ -26,7 +26,7 @@ from relkit.digraphs import (
 )
 from relkit.errors import ArityTooLarge, BadParameter, CapExceeded, TooLarge, VertexOutOfRange
 from relkit.group import orbits_under, tuple_image
-from relkit.oracle import brute_automorphism_count
+from relkit.oracle import brute_automorphism_count, brute_is_homogeneous
 from relkit.relcomp import relational_complexity
 from relkit.structures import (
     RelationalStructure,
@@ -123,12 +123,12 @@ def test_automorphism_group_cycles():
 
 @st.composite
 def structures(draw, vertices=None, arities=None):
-    """A structure on at most 5 vertices with 1-3 relations of arity 2-3.
+    """A structure on at most 5 vertices with 1-3 relations of arity 2-4.
     Relations may be empty, may overlap an earlier relation of the same
-    arity, and arities may interleave, e.g. (2, 3, 2)."""
+    arity, and arities may interleave, e.g. (2, 4, 2)."""
     n = draw(st.integers(1, 5)) if vertices is None else vertices
     if arities is None:
-        arities = draw(st.lists(st.sampled_from((2, 3)), min_size=1, max_size=3))
+        arities = draw(st.lists(st.sampled_from((2, 3, 4)), min_size=1, max_size=3))
     relations = []
     for arity in arities:
         tuples = draw(st.sets(st.tuples(*[st.integers(0, n - 1)] * arity), max_size=10))
@@ -261,6 +261,39 @@ def induced_is_homogeneous(structure):
 def test_homogeneity_matches_induced_substructure_loop(structure):
     # same verdict and the same failing map, found in the same order
     assert is_homogeneous(structure) == induced_is_homogeneous(structure)
+
+
+@settings(max_examples=300, deadline=None)
+@given(structures())
+def test_homogeneity_verdict_matches_bruteforce(structure):
+    assert is_homogeneous(structure)[0] == brute_is_homogeneous(structure)
+
+
+def test_level_checks_are_built_once_per_source(monkeypatch):
+    # the harvest shares one set of level checks over 0..n-1, and the
+    # homogeneity search one per source orbit representative, across all
+    # target subsets: no level's generator is made twice, and no entry of
+    # a level is built twice
+    levels, entries = [], []
+    real = structures_module._level_entries
+
+    def counting(source, target, domain, k):
+        levels.append((tuple(domain), k))
+        for i, entry in enumerate(real(source, target, domain, k)):
+            entries.append((tuple(domain), k, i))
+            yield entry
+
+    monkeypatch.setattr(structures_module, "_level_entries", counting)
+    h0 = sporadic_h0().to_structure()
+    aut = automorphism_group(h0)
+    assert levels and len(levels) == len(set(levels))
+    assert all(domain == tuple(range(8)) for domain, _ in levels)
+    assert entries and len(entries) == len(set(entries))
+    levels.clear()
+    entries.clear()
+    assert is_homogeneous(h0, aut=aut) == (True, None)
+    assert levels and len(levels) == len(set(levels))
+    assert entries and len(entries) == len(set(entries))
 
 
 def test_homogeneity_builds_no_induced_substructure(monkeypatch):
