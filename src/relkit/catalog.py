@@ -134,7 +134,7 @@ def dihedral_polygon(n) -> CatalogEntry:
     )
 
 
-def _induced_on_points(base_gens, points, degree=None):
+def _induced_on_points(base_gens, points):
     """Action induced on an invariant family of combinatorial objects."""
     index = {p: i for i, p in enumerate(points)}
     out = []
@@ -209,14 +209,7 @@ def matchings_action(base, n2) -> CatalogEntry:
     n = n2 // 2
     points = [frozenset(frozenset(p) for p in m) for m in _matchings(n2)]
     gens = _sym_gens(n2) if base == "Sym" else _alt_gens(n2)
-    raw = []
-    index = {p: i for i, p in enumerate(points)}
-    for g in gens:
-        raw.append(Permutation(
-            index[frozenset(frozenset(g(x) for x in pair) for pair in m)]
-            for m in points
-        ))
-    group = PermutationGroup(len(points), raw)  # faithful image of the action
+    group = _induced_on_points(gens, points)  # faithful image of the action
     if base == "Sym":
         expected = n
         rule = "matchings-symmetric"

@@ -42,6 +42,10 @@ def tuple_image(items, images):
     return tuple(map(images.__getitem__, items))
 
 
+def _point_image(x, images):
+    return images[x]
+
+
 def orbits_under(domain, generators, act):
     """Yield (first item, orbit set) for each orbit that meets the domain,
     in domain order; act(x, g) is the image of x under generator g.
@@ -152,24 +156,10 @@ class PermutationGroup:
             raise DegreeMismatch("degree mismatch in membership test")
         return self.chain.contains(g)
 
-    def orbit(self, p: int):
-        """Orbit of p in breadth-first insertion order."""
+    def orbit(self, p: int) -> set:
+        """Orbit of p, as a set."""
         self._check_point(p)
-        images = [g.images for g in self.generators]
-        out = [p]
-        seen = {p}
-        queue = [p]
-        while queue:
-            nxt = []
-            for a in queue:
-                for g in images:
-                    b = g[a]
-                    if b not in seen:
-                        seen.add(b)
-                        out.append(b)
-                        nxt.append(b)
-            queue = nxt
-        return out
+        return next(self._point_orbits((p,)))[1]
 
     def orbit_transporter(self, p: int):
         """Orbit of p with, per point, an element mapping p there."""
@@ -177,15 +167,11 @@ class PermutationGroup:
         return schreier_tree(p, self.generators, self.identity())
 
     def orbits(self):
-        """All orbits, ordered by their minimum point."""
-        seen = set()
-        out = []
-        for p in range(self.degree):
-            if p not in seen:
-                orb = self.orbit(p)
-                seen.update(orb)
-                out.append(orb)
-        return out
+        """All orbits as (minimum, orbit set) pairs, by ascending minimum."""
+        return list(self._point_orbits(range(self.degree)))
+
+    def _point_orbits(self, domain):
+        return orbits_under(domain, [g.images for g in self.generators], _point_image)
 
     def is_transitive(self) -> bool:
         return self.degree == len(self.orbit(0))
@@ -318,7 +304,7 @@ class PermutationGroup:
         # is cheap to rebase once the order is known)
         self.order()
         g0 = [g.images for g in self._prefix_chain([0]).strong_generators_below(1)]
-        for q, _ in orbits_under(range(1, n), g0, lambda x, g: g[x]):
+        for q, _ in orbits_under(range(1, n), g0, _point_image):
             blocks = self._minimal_block(0, q)
             if 1 < len(blocks[0]) < n:
                 return False, blocks

@@ -30,7 +30,15 @@ from .errors import (
 )
 from .group import PermutationGroup, orbits_under, tuple_image
 from .perm import Permutation, format_permutation
-from .relcomp import TuplePair, orbit_equivalent, relational_complexity, subtuple_complete
+from .relcomp import (
+    TuplePair,
+    _witness_at_prefix,
+    orbit_equivalent,
+    suborbit_rcs,
+    subtuple_complete,
+    witness_pair,
+)
+from .search import StabilizerLattice
 
 ELEMENT_ENUM_CAP = 200_000
 TEST5_EXHAUSTIVE_CAP = 10**5
@@ -79,7 +87,7 @@ class WitnessPairCertificate:
         level = self.pair.completeness_level
         if not subtuple_complete(group, self.pair.I, self.pair.J, level):
             return False
-        if orbit_equivalent(group, self.pair.I, self.pair.J):
+        if self.pair.equivalent:
             return False
         return self.pair.verify(group)
 
@@ -327,8 +335,7 @@ def _distinct_pair_transitive(group) -> bool:
     if not group.is_transitive():
         return False
     stab = group.pointwise_stabilizer([0])
-    orbit = set(stab.orbit(1)) if group.degree > 1 else set()
-    return len(orbit) == group.degree - 1
+    return len(stab.orbit(1)) == group.degree - 1
 
 
 # -- Test 1: orbit growth vs the binary bound ---------------------------
@@ -414,41 +421,22 @@ def test2_strongly_non_k_ary(group, k=2) -> TestOutcome:
 
 
 def test3_triples(group, degree_cap=10**4) -> TestOutcome:
-    """First 2-subtuple-complete, non-conjugate triple pair, if any."""
+    """First 2-subtuple-complete, non-conjugate triple pair, if any: RC's
+    witness check on each prefix {0, beta}, beta an orbit minimum of the
+    stabilizer of 0, in ascending order."""
     if not group.is_transitive():
         raise NotTransitive("test 3 requires a transitive group")
     if group.degree > degree_cap:
         raise DegreeTooLarge(f"degree {group.degree} exceeds cap {degree_cap}")
-    alpha = 0
-    stab_a = group.pointwise_stabilizer([alpha])
-    for beta in sorted(o[0] for o in stab_a.orbits() if o[0] != alpha):
-        stab_b = group.pointwise_stabilizer([beta])
-        stab_ab = group.pointwise_stabilizer([alpha, beta])
-        for orbit in stab_ab.orbits():
-            gamma = orbit[0]
-            if gamma in (alpha, beta):
-                continue
-            reach_a = stab_a.orbit_transporter(gamma)
-            reach_b = stab_b.orbit_transporter(gamma)
-            both = set(reach_a) & set(reach_b)
-            gamma_ab = set(stab_ab.orbit(gamma))
-            for gamma2 in sorted(both):
-                if gamma2 in gamma_ab:
-                    continue  # conjugate via the two-point stabilizer: equivalent
-                if group.transporter((alpha, beta, gamma), (alpha, beta, gamma2)) is not None:
-                    continue
-                pair = TuplePair(
-                    I=(alpha, beta, gamma),
-                    J=(alpha, beta, gamma2),
-                    completeness_level=2,
-                    transporters={
-                        (0, 1): group.identity(),
-                        (0, 2): reach_a[gamma2],
-                        (1, 2): reach_b[gamma2],
-                    },
-                    equivalent=False,
-                )
-                return TestOutcome("test3", NOT_BINARY, WitnessPairCertificate(pair))
+    lattice = StabilizerLattice(group)
+    for beta, _ in lattice.stabilizer(frozenset((0,))).orbits():
+        if beta == 0:
+            continue
+        prefix_set = frozenset((0, beta))
+        hit = _witness_at_prefix(lattice, prefix_set, lattice.stabilizer(prefix_set))
+        if hit is not None:
+            pair = witness_pair(group, (0, beta), hit)
+            return TestOutcome("test3", NOT_BINARY, WitnessPairCertificate(pair))
     return TestOutcome("test3", INCONCLUSIVE)
 
 
@@ -459,18 +447,10 @@ def test4_suborbits(group, **rc_caps) -> TestOutcome:
     """A non-binary point-stabilizer suborbit action lifts to the group."""
     if not group.is_transitive():
         raise NotTransitive("test 4 requires a transitive group")
-    alpha = 0
-    stab = group.pointwise_stabilizer([alpha])
-    for orbit in stab.orbits():
-        if len(orbit) < 2:
-            continue
-        lam = sorted(orbit)
-        induced, _ = stab.induced_action(lam)
-        rc, witness = relational_complexity(induced, **rc_caps)
+    for lam, rc, witness in suborbit_rcs(group, **rc_caps):
         if rc > 2 and witness is not None:
-            lift = {i: lam[i] for i in range(len(lam))}
-            I = (alpha,) + tuple(lift[p] for p in witness.I)
-            J = (alpha,) + tuple(lift[p] for p in witness.J)
+            I = (0,) + tuple(lam[p] for p in witness.I)
+            J = (0,) + tuple(lam[p] for p in witness.J)
             pair = _complete_pair(group, I, J, 2)
             if pair is None:
                 raise InternalInconsistency(
@@ -478,7 +458,7 @@ def test4_suborbits(group, **rc_caps) -> TestOutcome:
                 )
             return TestOutcome(
                 "test4", NOT_BINARY, WitnessPairCertificate(pair),
-                {"suborbit_size": len(orbit), "suborbit_rc": rc},
+                {"suborbit_size": len(lam), "suborbit_rc": rc},
             )
     return TestOutcome("test4", INCONCLUSIVE)
 
@@ -645,7 +625,7 @@ def test6_trivial_two_point(group, trials=DEFAULT_TEST6_TRIALS, seed=DEFAULT_TES
         return TestOutcome("test6", INCONCLUSIVE, None, {"reason": "point stabilizer too large"})
     m_elements = [g for g in stab0.elements() if not g.is_identity()]
     # |G_{w0,w1}| = |G_w0| / |w1^{G_w0}|: trivial exactly on the regular orbits
-    regular = {w for orbit in stab0.orbits() if len(orbit) == stab0.order() for w in orbit}
+    regular = {w for _, orbit in stab0.orbits() if len(orbit) == stab0.order() for w in orbit}
     rng = random.Random(seed)
     tried = set()
     stab_cache = {}
@@ -719,8 +699,7 @@ def _frobenius_complement_order(group) -> int:
     stab = group.pointwise_stabilizer([0])
     if stab.is_trivial():
         raise NotFrobenius("point stabilizers are trivial (regular action)")
-    for orbit in stab.orbits():
-        beta = orbit[0]
+    for beta, orbit in stab.orbits():
         if beta == 0:
             continue
         if len(orbit) != stab.order():
@@ -803,7 +782,7 @@ def _frobenius_subgroup_paths(group, F, lam, alpha) -> TestOutcome:
         pair_orders = []
         for i, g1 in enumerate(lam[:-1]):
             stab = group.pointwise_stabilizer([g1])
-            length = {x: len(orbit) for orbit in stab.orbits() for x in orbit}
+            length = {x: len(orbit) for _, orbit in stab.orbits() for x in orbit}
             pair_orders.extend(stab.order() // length[g2] for g2 in lam[i + 1:])
         m = min(pair_orders)
         lhs = -((-(c - 1) * (c - 2)) // (len(lam) - 2))  # ceil division

@@ -146,19 +146,15 @@ def _witness_at_prefix(lattice, prefix_set, stab):
         if side.order() == full_order:
             return None  # x redundant: the intersection can never escape
         side_groups.append(side)
-    stab_orbits = stab.orbits()
-    covered = set(prefix)
-    for orbit in stab_orbits:
-        alpha = orbit[0]
-        if alpha in covered:
+    for alpha, orbit in stab.orbits():
+        if alpha in prefix_set:
             continue
         candidates = None
         for side in side_groups:
-            side_orbit = side.orbit(alpha)
             if candidates is None:
-                candidates = set(side_orbit)
+                candidates = side.orbit(alpha)
             else:
-                candidates.intersection_update(side_orbit)
+                candidates &= side.orbit(alpha)
             if len(candidates) <= 1:
                 break
         if candidates is None or len(candidates) <= 1:
@@ -201,14 +197,21 @@ class WitnessSearch:
         """(RC, maximal witness pair), or (2, None) for a binary action."""
         if self.best is None:
             return 2, None
-        prefix, (alpha, beta, side_transporters) = self.best
-        m = len(prefix)
-        transporters = {tuple(range(m)): self.lattice.group.identity()}
-        for dropped, perm in side_transporters.items():
-            transporters[tuple(i for i in range(m + 1) if i != dropped)] = perm
-        witness = TuplePair(I=prefix + (alpha,), J=prefix + (beta,),
-                            completeness_level=m, transporters=transporters)
-        return m + 1, witness
+        prefix, hit = self.best
+        return len(prefix) + 1, witness_pair(self.lattice.group, prefix, hit)
+
+
+def witness_pair(group, prefix, hit) -> TuplePair:
+    """The pair (prefix + (alpha,), prefix + (beta,)) of a hit
+    (alpha, beta, side transporters) of _witness_at_prefix on the sorted
+    prefix, with a transporter per subset of all positions but one."""
+    alpha, beta, side_transporters = hit
+    m = len(prefix)
+    transporters = {tuple(range(m)): group.identity()}
+    for dropped, perm in side_transporters.items():
+        transporters[tuple(i for i in range(m + 1) if i != dropped)] = perm
+    return TuplePair(I=prefix + (alpha,), J=prefix + (beta,),
+                     completeness_level=m, transporters=transporters)
 
 
 def check_rc_caps(group, degree_cap=RC_DEGREE_CAP, order_cap=RC_ORDER_CAP):
@@ -235,17 +238,20 @@ def is_binary(group, **caps) -> bool:
     return rc == 2
 
 
+def suborbit_rcs(group, **caps):
+    """For each orbit of length >= 2 of the stabilizer of 0, by ascending
+    minimum: (the sorted orbit, RC, witness), RC and witness those of the
+    stabilizer's action on the orbit."""
+    stab = group.pointwise_stabilizer([0])
+    for _, orbit in stab.orbits():
+        if len(orbit) > 1:
+            lam = sorted(orbit)
+            induced, _ = stab.induced_action(lam)
+            yield (lam, *relational_complexity(induced, **caps))
+
+
 def suborbit_rc_lower_bound(group, **caps) -> int:
     """Max RC over induced point-stabilizer suborbit actions (>= 2)."""
     if not group.is_transitive():
         raise NotTransitive("suborbit bound requires a transitive group")
-    alpha = 0
-    stab = group.pointwise_stabilizer([alpha])
-    best = 2
-    for orbit in stab.orbits():
-        if len(orbit) < 2 or alpha in orbit:
-            continue
-        induced, _ = stab.induced_action(orbit)
-        rc, _ = relational_complexity(induced, **caps)
-        best = max(best, rc)
-    return best
+    return max((rc for _, rc, _ in suborbit_rcs(group, **caps)), default=2)

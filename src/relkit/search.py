@@ -123,10 +123,11 @@ def canonical_prefixes(lattice: StabilizerLattice, prune=None):
         if prune is not None and prune(len(points), order):
             return
         # A point the stabilizer fixes cannot shrink it, so only the minima
-        # of nontrivial orbits extend the prefix (orbits() lists each orbit
-        # from its minimum, in ascending order).  By orbit-stabilizer, each
-        # of those divides the order by its orbit length.
-        for p in [orb[0] for orb in stab.orbits() if len(orb) > 1]:
+        # of nontrivial orbits extend the prefix (orbits() pairs each orbit
+        # with its minimum, in ascending order of the minimum).  By
+        # orbit-stabilizer, each of those divides the order by its orbit
+        # length.
+        for p in [alpha for alpha, orbit in stab.orbits() if len(orbit) > 1]:
             child_set = fset | {p}
             same_key = visited.setdefault(set_key(colour, n, child_set), [])
             if any(maps_onto(path, child_set) for path in same_key):

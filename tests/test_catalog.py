@@ -101,7 +101,7 @@ def test_diagonal_type_entry():
 def test_intransitive_join_entry():
     e = cat.intransitive_join(4)
     assert e.group.degree == 6 and e.group.order() == 24
-    orbits = sorted(len(o) for o in e.group.orbits())
+    orbits = sorted(len(o) for _, o in e.group.orbits())
     assert orbits == [2, 4]
 
 

@@ -99,18 +99,18 @@ def test_contains_degree_mismatch():
 # -- orbits --------------------------------------------------------------------
 
 def test_orbit_transitive():
-    assert set(alt4().orbit(0)) == {0, 1, 2, 3}
+    assert alt4().orbit(0) == {0, 1, 2, 3}
 
 
 def test_orbit_fixed_point():
     g = G(4, "(1 2)")
-    assert g.orbit(2) == [2]
+    assert g.orbit(2) == {2}
 
 
 def test_orbit_invariant_points():
     g = G(5, "(1 2)", "(1 2 3)")  # Sym(3) fixing points 3, 4
-    assert g.orbit(3) == [3]
-    assert g.orbit(4) == [4]
+    assert g.orbit(3) == {3}
+    assert g.orbit(4) == {4}
 
 
 def test_orbit_out_of_range():
@@ -437,6 +437,29 @@ def test_sift_products_of_generators(cycles):
     if len(gens) >= 2:
         assert group.contains(gens[0] * gens[1])
         assert group.contains(gens[1] * gens[0] * gens[1].inverse())
+
+
+@st.composite
+def random_groups(draw):
+    degree = draw(st.integers(1, 8))
+    perms = st.permutations(range(degree)).map(Permutation)
+    return PermutationGroup(degree, draw(st.lists(perms, max_size=3)))
+
+
+@given(random_groups())
+@settings(max_examples=100, deadline=None)
+def test_orbits_match_bruteforce(group):
+    elements = mulclose(group.generators, group.degree)
+    orbits = group.orbits()
+    minima = [alpha for alpha, _ in orbits]
+    assert minima == sorted(minima)
+    assert sorted(p for _, orbit in orbits for p in orbit) == list(range(group.degree))
+    for alpha, orbit in orbits:
+        assert alpha == min(orbit)
+        assert orbit == {e[alpha] for e in elements}
+        assert all(g(p) in orbit for g in group.generators for p in orbit)
+        for p in orbit:
+            assert group.orbit(p) == orbit
 
 
 def test_orbits_under_partitions_in_domain_order():

@@ -1,9 +1,11 @@
 """The non-binarity battery, closures, Frobenius and subset criteria."""
 
+import dataclasses
 import itertools
 import math
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from relkit import catalog as cat
 from relkit.chain import StabilizerChain
@@ -18,6 +20,7 @@ from relkit.errors import (
     PrimeDoesNotDivide,
 )
 from relkit.group import PermutationGroup
+from relkit.oracle import mulclose
 from relkit import nonbinary as nb
 from relkit.nonbinary import (
     check_2transitive_orbit,
@@ -169,6 +172,99 @@ def test3_inconclusive_on_3transitive():
 def test3_flags_subset_action():
     out = nb.test3_triples(cat.k_subsets_action("Sym", 6, 2).group)
     assert out.not_binary
+
+
+# Transitive groups of degree <= 7 to draw generators from; random
+# permutations alone mostly generate Sym(n) or Alt(n), where test 3 finds
+# nothing.
+SMALL_TRANSITIVE = [
+    cat.cyclic_regular(6).group,
+    cat.dihedral_polygon(6).group,
+    cat.agl1(5).group,
+    cat.agl1(7).group,
+    cat.psl2_projective(5).group,
+    cat.product_action(2, 2).group,
+    cat.alternating_natural(6).group,
+]
+
+
+@st.composite
+def small_transitive_groups(draw):
+    if draw(st.booleans()):
+        degree = draw(st.integers(3, 7))
+        pool = st.permutations(range(degree)).map(Permutation)
+    else:
+        group = draw(st.sampled_from(SMALL_TRANSITIVE))
+        degree = group.degree
+        pool = st.sampled_from(mulclose(group.generators, degree)).map(Permutation)
+    group = PermutationGroup(degree, draw(st.lists(pool, min_size=1, max_size=3)))
+    assume(group.is_transitive())
+    return group
+
+
+def brute_test3_pairs(group):
+    """Every (b, c, c') with (0, b, c), (0, b, c') 2-subtuple complete but
+    not equivalent, by a scan of the elements."""
+    elements = mulclose(group.generators, group.degree)
+
+    def images(c, fixed):
+        return {e[c] for e in elements if all(e[x] == x for x in fixed)}
+
+    return {
+        (b, c, c2)
+        for b in range(1, group.degree)
+        for c in range(group.degree) if c not in (0, b)
+        for c2 in (images(c, [0]) & images(c, [b])) - images(c, [0, b])
+    }
+
+
+# Sym(4) on 2-subsets, labelled so that the stabilizer of 0 fixes 1: the
+# first beta tried is redundant and the witness needs the second
+SYM4_ON_PAIRS = PermutationGroup(6, [Permutation((1, 0, 4, 5, 2, 3)),
+                                     Permutation((5, 2, 4, 0, 1, 3))])
+
+
+@given(small_transitive_groups())
+@example(cat.agl1(5).group)
+@example(cat.symmetric_natural(5).group)
+@example(SYM4_ON_PAIRS)
+@settings(max_examples=150, deadline=None)
+def test3_matches_bruteforce(group):
+    out = nb.test3_triples(group)
+    pairs = brute_test3_pairs(group)
+    assert out.not_binary == bool(pairs)
+    if out.not_binary:
+        I, J = out.certificate.pair.I, out.certificate.pair.J
+        assert I[:2] == J[:2] and I[0] == 0
+        assert (I[1], I[2], J[2]) in pairs
+        assert out.verify(group)
+
+
+def test_witness_certificate_rejects_equivalent_pairs(monkeypatch):
+    g = cat.agl1(5).group
+    cert = nb.test3_triples(g).certificate
+    full_searches = []
+    original = PermutationGroup.transporter
+
+    def transporter(self, src, dst):
+        if len(tuple(src)) == 3:
+            full_searches.append(src)
+        return original(self, src, dst)
+
+    monkeypatch.setattr(PermutationGroup, "transporter", transporter)
+    assert cert.verify(g)
+    assert len(full_searches) == 1  # the non-equivalence is checked once
+    marked = dataclasses.replace(cert.pair, equivalent=True)
+    assert not nb.WitnessPairCertificate(marked).verify(g)
+    # J a G-image of I: complete on every subset, with the same element
+    x = g.generators[0]
+    image = dataclasses.replace(
+        cert.pair, J=x.apply_tuple(cert.pair.I),
+        transporters={subset: x for subset in cert.pair.transporters},
+    )
+    assert not nb.WitnessPairCertificate(image).verify(g)
+    assert not nb.WitnessPairCertificate(
+        dataclasses.replace(image, equivalent=True)).verify(g)
 
 
 # -- test 4 -----------------------------------------------------------------------

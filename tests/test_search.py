@@ -25,7 +25,7 @@ def set_dedup_walk(lattice, prune=None):
     def walk(points, fset, stab, order):
         if prune is not None and prune(len(points), order):
             return
-        for p in [orb[0] for orb in stab.orbits() if len(orb) > 1]:
+        for p in [alpha for alpha, orbit in stab.orbits() if len(orbit) > 1]:
             child_set = fset | {p}
             if child_set in seen:
                 continue
