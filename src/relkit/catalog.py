@@ -13,10 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import (
-    AbelianInput,
     BadParameter,
     DegreeTooLarge,
-    GroupTooLarge,
     InternalInconsistency,
 )
 from .group import PermutationGroup
@@ -413,16 +411,12 @@ def psl2_projective(p) -> CatalogEntry:
     )
 
 
-def diagonal_type_on_group(T: PermutationGroup, size_cap=360) -> CatalogEntry:
+def diagonal_type_on_group(T: PermutationGroup) -> CatalogEntry:
     """Action on the element set of T by right translations, conjugations
     and inversion; the point stabilizer of the identity contains Inn(T)."""
     from .nonbinary import holomorph_like_action
 
-    if T.order() > size_cap:
-        raise GroupTooLarge(f"|T| = {T.order()} exceeds cap {size_cap}")
-    if all(a * b == b * a for a in T.generators for b in T.generators):
-        raise AbelianInput("diagonal-type entries need a nonabelian group")
-    action, elements = holomorph_like_action(T, size_cap)
+    action, _ = holomorph_like_action(T)
     return CatalogEntry(
         name="diagonal_type",
         parameters={"order": T.order()},

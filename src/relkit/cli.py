@@ -72,7 +72,8 @@ def _add_global_flags(parser, suppress=False):
                         help="exit 3 when any field is skipped by a cap")
     parser.add_argument("--force-caps", action="store_true",
                         default=argparse.SUPPRESS if suppress else False,
-                        help="lift the default degree/order caps")
+                        help="lift RC's degree and order caps, and no other; "
+                             "in stats only RC's order cap can matter")
 
 
 def build_parser():

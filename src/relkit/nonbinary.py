@@ -41,7 +41,10 @@ from .relcomp import (
 from .search import StabilizerLattice
 
 ELEMENT_ENUM_CAP = 200_000
+TEST3_DEGREE_CAP = 10**4
 TEST5_EXHAUSTIVE_CAP = 10**5
+TEST5_SAMPLE_TRIALS = 1000
+DIAGONAL_ORDER_CAP = 360
 DEFAULT_TEST6_TRIALS = 100_000
 DEFAULT_TEST6_SEED = 0xC4E2
 
@@ -253,23 +256,22 @@ def _elements(group):
 class _ElementCensus:
     """Facts about a group's elements from one pass, taken on first demand:
     the histogram of fixed-point counts (test 1), and, when |G| is at most
-    prime_cap, the elements of each prime order in enumeration order
-    (test 5; primes=None means every prime dividing |G|).  run_battery
-    hands one census to both tests when it runs both without stopping
-    early."""
+    TEST5_EXHAUSTIVE_CAP, the elements of each prime order in enumeration
+    order (test 5; primes=None means every prime dividing |G|).
+    run_battery hands one census to both tests when it runs both without
+    stopping early."""
 
-    def __init__(self, group, fixed_counts=True, primes=None, prime_cap=TEST5_EXHAUSTIVE_CAP):
+    def __init__(self, group, fixed_counts=True, primes=None):
         self._group = group
         self._fixed_counts = fixed_counts
         self._primes = primes
-        self._prime_cap = prime_cap
         self._facts = None
 
     def _take(self):
         if self._facts is None:
             order = self._group.order()
             primes = _prime_divisors(order) if self._primes is None else self._primes
-            by_prime = {q: [] for q in primes} if order <= self._prime_cap else {}
+            by_prime = {q: [] for q in primes} if order <= TEST5_EXHAUSTIVE_CAP else {}
             fixed = Counter()
             for g in self._group.elements():
                 if self._fixed_counts:
@@ -404,30 +406,30 @@ def full_tuple_pair(group, sigma, k) -> TuplePair:
     return pair
 
 
-def test2_strongly_non_k_ary(group, k=2) -> TestOutcome:
-    closure = k_closure(group, k)
+def test2_strongly_non_k_ary(group) -> TestOutcome:
+    closure = k_closure(group, 2)
     if closure.order() == group.order():
-        return TestOutcome("test2", INCONCLUSIVE, None, {"closed": True, "k": k})
+        return TestOutcome("test2", INCONCLUSIVE, None, {"closed": True, "k": 2})
     sigma = next(g for g in closure.generators if not group.contains(g))
-    # non-k-closed gives a k-subtuple-complete witness, hence RC > k >= 2
-    cert = ClosureElementCertificate(sigma, k, full_tuple_pair(group, sigma, k))
+    # non-2-closed gives a 2-subtuple-complete witness, hence RC > 2
+    cert = ClosureElementCertificate(sigma, 2, full_tuple_pair(group, sigma, 2))
     return TestOutcome(
         "test2", NOT_BINARY, cert,
-        {"k": k, "closure_order": closure.order(), "strongly_non_k_ary": True},
+        {"k": 2, "closure_order": closure.order(), "strongly_non_k_ary": True},
     )
 
 
 # -- Test 3: triples ------------------------------------------------------
 
 
-def test3_triples(group, degree_cap=10**4) -> TestOutcome:
+def test3_triples(group) -> TestOutcome:
     """First 2-subtuple-complete, non-conjugate triple pair, if any: RC's
     witness check on each prefix {0, beta}, beta an orbit minimum of the
     stabilizer of 0, in ascending order."""
     if not group.is_transitive():
         raise NotTransitive("test 3 requires a transitive group")
-    if group.degree > degree_cap:
-        raise DegreeTooLarge(f"degree {group.degree} exceeds cap {degree_cap}")
+    if group.degree > TEST3_DEGREE_CAP:
+        raise DegreeTooLarge(f"degree {group.degree} exceeds cap {TEST3_DEGREE_CAP}")
     lattice = StabilizerLattice(group)
     for beta, _ in lattice.stabilizer(frozenset((0,))).orbits():
         if beta == 0:
@@ -443,11 +445,11 @@ def test3_triples(group, degree_cap=10**4) -> TestOutcome:
 # -- Test 4: suborbit actions ---------------------------------------------
 
 
-def test4_suborbits(group, **rc_caps) -> TestOutcome:
+def test4_suborbits(group) -> TestOutcome:
     """A non-binary point-stabilizer suborbit action lifts to the group."""
     if not group.is_transitive():
         raise NotTransitive("test 4 requires a transitive group")
-    for lam, rc, witness in suborbit_rcs(group, **rc_caps):
+    for lam, rc, witness in suborbit_rcs(group):
         if rc > 2 and witness is not None:
             I = (0,) + tuple(lam[p] for p in witness.I)
             J = (0,) + tuple(lam[p] for p in witness.J)
@@ -466,14 +468,14 @@ def test4_suborbits(group, **rc_caps) -> TestOutcome:
 # -- Test 5: special primes ------------------------------------------------
 
 
-def test5_special_primes(group, p=None, exhaustive_cap=TEST5_EXHAUSTIVE_CAP,
-                         sample_trials=1000, seed=0, _census=None) -> TestOutcome:
+def test5_special_primes(group, p=None, _census=None) -> TestOutcome:
     """Elementary abelian p^2 configurations (two rules, see certificates).
 
     Tries p, or else every prime dividing |G| in ascending order, and
     stops at the first NotBinary; otherwise the last prime's outcome
-    stands.  Up to exhaustive_cap one pass over the elements collects the
-    elements of each prime order, in enumeration order.
+    stands.  Up to TEST5_EXHAUSTIVE_CAP one pass over the elements
+    collects the elements of each prime order, in enumeration order; above
+    it the p-elements are sampled.
     """
     if p is not None and _prime_divisors(p) != [p]:
         raise BadParameter(f"{p} is not a prime")
@@ -485,16 +487,15 @@ def test5_special_primes(group, p=None, exhaustive_cap=TEST5_EXHAUSTIVE_CAP,
         raise NotTransitive("test 5 requires a transitive group")
     if p is not None and order % p != 0:
         raise PrimeDoesNotDivide(f"{p} does not divide the group order {order}")
-    if order <= exhaustive_cap:
-        census = _census or _ElementCensus(
-            group, fixed_counts=False, primes=primes, prime_cap=exhaustive_cap
-        )
+    exhaustive = order <= TEST5_EXHAUSTIVE_CAP
+    if exhaustive:
+        census = _census or _ElementCensus(group, fixed_counts=False, primes=primes)
         p_elements = census.prime_order_elements()
     for q in primes:
-        if order <= exhaustive_cap:
+        if exhaustive:
             outcome = _test5_scan(group, q, p_elements[q])
         else:
-            outcome = _test5_sampled(group, q, sample_trials, seed)
+            outcome = _test5_sampled(group, q)
         if outcome.not_binary:
             break
     return outcome
@@ -552,10 +553,10 @@ def _test5_scan(group, p, p_elements, allow_fixed_point_drop=True) -> TestOutcom
     return TestOutcome("test5", INCONCLUSIVE, None, {"p": p})
 
 
-def _test5_sampled(group, p, trials, seed) -> TestOutcome:
+def _test5_sampled(group, p) -> TestOutcome:
     """Sampling fallback: p-elements from powers of random elements and
     random conjugates, closed into a p-subgroup until growth stops."""
-    rng = random.Random(seed)
+    rng = random.Random(0)
     base_count = len(group.chain.base)
 
     def random_element():
@@ -573,7 +574,7 @@ def _test5_sampled(group, p, trials, seed) -> TestOutcome:
         return g ** n
 
     p_elements = []
-    for _ in range(trials):
+    for _ in range(TEST5_SAMPLE_TRIALS):
         x = p_part(random_element())
         if not x.is_identity():
             p_elements.append(x)
@@ -707,17 +708,17 @@ def _frobenius_complement_order(group) -> int:
     return stab.order()
 
 
-def frobenius_test(group, normal_subgroup=None, lam=None, alpha=None) -> TestOutcome:
+def frobenius_test(group, normal_subgroup=None) -> TestOutcome:
     """Frobenius-based non-binarity criteria.
 
     Without extra arguments: if the action itself is Frobenius with
     complement order != 2, the action is not binary.  With a normal
-    subgroup F: its Frobenius orbit is analyzed for a cyclic kernel whose
-    complement has an element of order > 2 (explicit witness pair), and
-    for the two-point-stabilizer counting inequality.
+    subgroup F: its Frobenius orbit through 0 is analyzed for a cyclic
+    kernel whose complement has an element of order > 2 (explicit witness
+    pair), and for the two-point-stabilizer counting inequality.
     """
     if normal_subgroup is not None:
-        return _frobenius_subgroup_paths(group, normal_subgroup, lam, alpha)
+        return _frobenius_subgroup_paths(group, normal_subgroup)
     order = _frobenius_complement_order(group)
     if order != 2:
         return TestOutcome(
@@ -748,12 +749,9 @@ def _frobenius_orbit_structure(induced):
     return kernel, comp
 
 
-def _frobenius_subgroup_paths(group, F, lam, alpha) -> TestOutcome:
+def _frobenius_subgroup_paths(group, F) -> TestOutcome:
     _check_normal(group, F)
-    if lam is None:
-        start = alpha if alpha is not None else 0
-        lam = F.orbit(start)
-    lam = sorted(lam)
+    lam = sorted(F.orbit(0))
     induced, kernel_order = F.induced_action(lam)
     kernel, comp = _frobenius_orbit_structure(induced)
     # cyclic-kernel path: explicit pair (1, y, y^a) vs (1, y, y^b)
@@ -860,23 +858,12 @@ def _contains_alternating(group) -> bool:
     return all(group.contains(g) for g in gens)
 
 
-def check_2transitive_orbit(subgroup, omega) -> bool:
-    """Does the subgroup act 2-transitively on the orbit of omega?
-
-    Accepts a PermutationGroup or a nonempty list of generators of the
-    ambient symmetric group.
-    """
-    if isinstance(subgroup, PermutationGroup):
-        H = subgroup
-    else:
-        gens = list(subgroup)
-        if not gens:
-            return False
-        H = PermutationGroup(gens[0].degree, gens)
-    orbit = H.orbit(omega)
+def check_2transitive_orbit(subgroup: PermutationGroup, omega) -> bool:
+    """Does the subgroup act 2-transitively on the orbit of omega?"""
+    orbit = subgroup.orbit(omega)
     if len(orbit) < 2:
         return False
-    induced, _ = H.induced_action(sorted(orbit))
+    induced, _ = subgroup.induced_action(sorted(orbit))
     return _distinct_pair_transitive(induced)
 
 
@@ -915,15 +902,15 @@ def verify_snb_certificate(group, tau, etas) -> TestOutcome:
 # -- diagonal-type patch ------------------------------------------------------
 
 
-def holomorph_like_action(T: PermutationGroup, size_cap=360):
+def holomorph_like_action(T: PermutationGroup):
     """Action on the element set of T generated by right translations,
     conjugations and inversion; the identity is point 0.
 
     Returns (group, elements list) where elements[i] is the permutation
     of T labeled by point i.
     """
-    if T.order() > size_cap:
-        raise GroupTooLarge(f"group order {T.order()} exceeds cap {size_cap}")
+    if T.order() > DIAGONAL_ORDER_CAP:
+        raise GroupTooLarge(f"group order {T.order()} exceeds cap {DIAGONAL_ORDER_CAP}")
     if all(a * b == b * a for a in T.generators for b in T.generators):
         raise AbelianInput("diagonal-type construction needs a nonabelian group")
     elements = sorted(T.elements(), key=lambda g: g.images)
@@ -940,7 +927,7 @@ def holomorph_like_action(T: PermutationGroup, size_cap=360):
     return PermutationGroup(n, gens), elements
 
 
-def diagonal_patch_witness(T: PermutationGroup, size_cap=360) -> TestOutcome:
+def diagonal_patch_witness(T: PermutationGroup) -> TestOutcome:
     """Non-binarity of the diagonal-type action on a nonabelian group T.
 
     Picks noncommuting a, b in T, not both of order 2, and certifies that
@@ -953,7 +940,7 @@ def diagonal_patch_witness(T: PermutationGroup, size_cap=360) -> TestOutcome:
     with inversion maps ab to ba while fixing 1, a and b; that 6-point
     action is Aut(K3,3) and binary.
     """
-    action, elements = holomorph_like_action(T, size_cap)
+    action, elements = holomorph_like_action(T)
     index = {g: i for i, g in enumerate(elements)}
     n = len(elements)
 
@@ -1011,7 +998,7 @@ BATTERY_ORDER = ("1", "2", "3", "4", "5", "6", "frobenius")
 
 
 def run_battery(group, tests=BATTERY_ORDER, stop_at_first=True, prime=None,
-                trials=DEFAULT_TEST6_TRIALS, seed=DEFAULT_TEST6_SEED, ell_max=4):
+                trials=DEFAULT_TEST6_TRIALS, seed=DEFAULT_TEST6_SEED):
     """Run the numbered tests in order; applicability errors become
     Inconclusive outcomes with the reason recorded.  Unknown test names
     and a negative trial count are rejected before any test runs."""
@@ -1040,9 +1027,9 @@ def run_battery(group, tests=BATTERY_ORDER, stop_at_first=True, prime=None,
 
     for name in tests:
         if name == "1":
-            outcome = run("test1", lambda: test1_character_bound(group, ell_max, _census=census))
+            outcome = run("test1", lambda: test1_character_bound(group, 4, _census=census))
         elif name == "2":
-            outcome = run("test2", lambda: test2_strongly_non_k_ary(group, 2))
+            outcome = run("test2", lambda: test2_strongly_non_k_ary(group))
         elif name == "3":
             outcome = run("test3", lambda: test3_triples(group))
         elif name == "4":

@@ -233,12 +233,12 @@ def relational_complexity(group, degree_cap=RC_DEGREE_CAP, order_cap=RC_ORDER_CA
     return search.result()
 
 
-def is_binary(group, **caps) -> bool:
-    rc, _ = relational_complexity(group, **caps)
+def is_binary(group) -> bool:
+    rc, _ = relational_complexity(group)
     return rc == 2
 
 
-def suborbit_rcs(group, **caps):
+def suborbit_rcs(group):
     """For each orbit of length >= 2 of the stabilizer of 0, by ascending
     minimum: (the sorted orbit, RC, witness), RC and witness those of the
     stabilizer's action on the orbit."""
@@ -247,11 +247,11 @@ def suborbit_rcs(group, **caps):
         if len(orbit) > 1:
             lam = sorted(orbit)
             induced, _ = stab.induced_action(lam)
-            yield (lam, *relational_complexity(induced, **caps))
+            yield (lam, *relational_complexity(induced))
 
 
-def suborbit_rc_lower_bound(group, **caps) -> int:
+def suborbit_rc_lower_bound(group) -> int:
     """Max RC over induced point-stabilizer suborbit actions (>= 2)."""
     if not group.is_transitive():
         raise NotTransitive("suborbit bound requires a transitive group")
-    return max((rc for _, rc, _ in suborbit_rcs(group, **caps)), default=2)
+    return max((rc for _, rc, _ in suborbit_rcs(group)), default=2)

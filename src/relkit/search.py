@@ -62,7 +62,6 @@ class StabilizerLattice:
     def __init__(self, group: PermutationGroup):
         self.group = group
         self._memo: dict[frozenset, PermutationGroup] = {frozenset(): group}
-        self._orders: dict[frozenset, int] = {frozenset(): group.order()}
 
     def stabilizer(self, points: frozenset) -> PermutationGroup:
         cached = self._memo.get(points)
@@ -72,13 +71,10 @@ class StabilizerLattice:
         parent = self.stabilizer(points - {pivot})
         result = parent.pointwise_stabilizer([pivot])
         self._memo[points] = result
-        self._orders[points] = result.order()
         return result
 
     def order(self, points: frozenset) -> int:
-        if points not in self._orders:
-            self.stabilizer(points)
-        return self._orders[points]
+        return self.stabilizer(points).order()
 
     def is_independent(self, points: frozenset) -> bool:
         """No point is redundant: dropping any point enlarges the stabilizer."""
@@ -137,7 +133,6 @@ def canonical_prefixes(lattice: StabilizerLattice, prune=None):
             child_levels = levels + child._cut_levels
             same_key.append(child_levels)
             lattice._memo.setdefault(child_set, child)
-            lattice._orders.setdefault(child_set, child_order)
             yield points + (p,), child_set, child
             yield from walk(points + (p,), child_set, child, child_order, child_levels)
 

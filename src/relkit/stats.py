@@ -82,9 +82,9 @@ class ProfileSearch:
                                  self.h, self.h_wit, self.irr, self.irr_wit)
 
 
-def base_height_profile(group: PermutationGroup, degree_cap=STATS_DEGREE_CAP):
-    if group.degree > degree_cap:
-        raise DegreeTooLarge(f"degree {group.degree} exceeds cap {degree_cap}")
+def base_height_profile(group: PermutationGroup):
+    if group.degree > STATS_DEGREE_CAP:
+        raise DegreeTooLarge(f"degree {group.degree} exceeds cap {STATS_DEGREE_CAP}")
     lattice = StabilizerLattice(group)
     search = ProfileSearch(lattice)
     for node in canonical_prefixes(lattice):
@@ -92,9 +92,9 @@ def base_height_profile(group: PermutationGroup, degree_cap=STATS_DEGREE_CAP):
     return search.result()
 
 
-def height(group, **caps):
+def height(group):
     """Maximum size of an independent set, with a witness set."""
-    profile = base_height_profile(group, **caps)
+    profile = base_height_profile(group)
     return profile.height, profile.height_witness
 
 

@@ -45,10 +45,6 @@ class RelationalStructure:
             cleaned.append((arity, tupleset))
         return RelationalStructure(vertices, tuple(cleaned))
 
-    @property
-    def arity(self) -> int:
-        return max((a for a, _ in self.relations), default=2)
-
     def arity_sequence(self):
         return tuple(a for a, _ in self.relations)
 
@@ -247,7 +243,7 @@ def automorphism_group(structure, generators=()) -> PermutationGroup:
     return PermutationGroup(n, known.generators, _order=known.order())
 
 
-def is_homogeneous(structure, vertex_cap=HOMOGENEITY_VERTEX_CAP, aut=None):
+def is_homogeneous(structure, aut=None):
     """Does every isomorphism of induced substructures extend to an
     automorphism?  Returns (True, None) or (False, failing map).
 
@@ -258,8 +254,8 @@ def is_homogeneous(structure, vertex_cap=HOMOGENEITY_VERTEX_CAP, aut=None):
     A caller that already holds the automorphism group passes it as aut.
     """
     n = structure.vertices
-    if n > vertex_cap:
-        raise TooLarge(f"homogeneity test capped at {vertex_cap} vertices")
+    if n > HOMOGENEITY_VERTEX_CAP:
+        raise TooLarge(f"homogeneity test capped at {HOMOGENEITY_VERTEX_CAP} vertices")
     if aut is None:
         aut = automorphism_group(structure)
     gens = [g.images for g in aut.generators]
@@ -298,8 +294,7 @@ def canonical_structure(group, s) -> RelationalStructure:
     return RelationalStructure(n, tuple(relations))
 
 
-def structural_rc(group, degree_cap=STRUCTURAL_RC_DEGREE_CAP,
-                  arity_cap=STRUCTURAL_RC_ARITY_CAP):
+def structural_rc(group):
     """Smallest s with the orbit structure of arity s homogeneous and
     rigidly recovering the group; equals the tuple relational complexity.
 
@@ -308,9 +303,9 @@ def structural_rc(group, degree_cap=STRUCTURAL_RC_DEGREE_CAP,
     """
     from .relcomp import relational_complexity
 
-    if group.degree > degree_cap:
-        raise TooLarge(f"structural RC capped at degree {degree_cap}")
-    for s in range(2, arity_cap + 1):
+    if group.degree > STRUCTURAL_RC_DEGREE_CAP:
+        raise TooLarge(f"structural RC capped at degree {STRUCTURAL_RC_DEGREE_CAP}")
+    for s in range(2, STRUCTURAL_RC_ARITY_CAP + 1):
         structure = canonical_structure(group, s)
         aut = automorphism_group(structure)
         if aut.order() != group.order():
@@ -320,6 +315,7 @@ def structural_rc(group, degree_cap=STRUCTURAL_RC_DEGREE_CAP,
             return s
     rc, _ = relational_complexity(group)
     raise CapExceeded(
-        f"no homogeneous orbit structure of arity <= {arity_cap}; tuple RC is {rc}",
+        f"no homogeneous orbit structure of arity <= {STRUCTURAL_RC_ARITY_CAP}; "
+        f"tuple RC is {rc}",
         fallback=rc,
     )

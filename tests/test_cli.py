@@ -57,6 +57,62 @@ def test_rc_deterministic_output(capsys, agl15_file):
     assert first == second
 
 
+@pytest.fixture
+def c130_file(tmp_path):
+    # regular of degree 130: past RC's degree cap of 120 and the stats cap
+    path = tmp_path / "c130.json"
+    dump_group(cat.cyclic_regular(130).group, path)
+    return str(path)
+
+
+def test_force_caps_lifts_rc_caps(capsys, c130_file):
+    code, out = run(capsys, "rc", c130_file, "--format=json", "--force-caps")
+    assert code == 0 and json.loads(out)["rc"] == 2
+    assert main(["rc", c130_file, "--format=json"]) == 2
+    assert "degree 130 exceeds cap 120" in capsys.readouterr().err
+
+
+def test_force_caps_leaves_the_stats_degree_cap(capsys, c130_file):
+    assert main(["stats", c130_file, "--format=json", "--force-caps"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "degree 130 exceeds cap 120" in captured.err
+
+
+def _table_lines(model, indent=0):
+    """The lines the table must print for a JSON model, blank lines aside:
+    yes/no for booleans, - for None, flat lists inline, the fields of a
+    nested object one level in, list items at the list's own level."""
+    pad = "  " * indent
+    if isinstance(model, list):
+        for item in model:
+            yield from _table_lines(item, indent)
+        return
+    for key, value in model.items():
+        if isinstance(value, dict):
+            yield f"{pad}{key}:"
+            yield from _table_lines(value, indent + 1)
+        elif value is None:
+            yield f"{pad}{key}: -"
+        elif isinstance(value, bool):
+            yield f"{pad}{key}: {'yes' if value else 'no'}"
+        else:
+            yield f"{pad}{key}: {value}"
+
+
+@pytest.mark.parametrize("argv", [("stats",), ("tests", "--all")])
+def test_table_prints_every_field(capsys, agl15_file, argv):
+    _, table = run(capsys, argv[0], agl15_file, *argv[1:])
+    _, as_json = run(capsys, argv[0], agl15_file, *argv[1:], "--format=json")
+    lines = [line for line in table.splitlines() if line]
+    assert lines == list(_table_lines(json.loads(as_json)))
+    if argv == ("stats",):
+        for line in ("transitive: yes", "b_witness: [0, 1]", "rc_witness:",
+                     "  certs:", "    [0, 1]: ()", "  equivalent: no"):
+            assert line in lines
+    else:
+        assert "certificate: -" in lines  # test 4 finds nothing on AGL(1,5)
+
+
 def test_tests_command_stops_at_first(capsys, agl15_file):
     code, out = run(capsys, "tests", agl15_file, "--format=json")
     assert code == 0

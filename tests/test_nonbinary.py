@@ -93,16 +93,16 @@ def test1_requires_transitive():
 
 def test2_flags_alt4():
     g = cat.alternating_natural(4).group
-    out = nb.test2_strongly_non_k_ary(g, 2)
+    out = nb.test2_strongly_non_k_ary(g)
     assert out.not_binary
     assert not g.contains(out.certificate.element)
     assert out.verify(g)
 
 
 def test2_inconclusive_on_2closed():
-    out = nb.test2_strongly_non_k_ary(cat.affine_orthogonal(3, 2).group, 2)
+    out = nb.test2_strongly_non_k_ary(cat.affine_orthogonal(3, 2).group)
     assert not out.not_binary
-    out = nb.test2_strongly_non_k_ary(cat.symmetric_natural(4).group, 2)
+    out = nb.test2_strongly_non_k_ary(cat.symmetric_natural(4).group)
     assert not out.not_binary
 
 
@@ -352,6 +352,32 @@ def test5_enumerates_the_group_once(monkeypatch):
     out = nb.test5_special_primes(g)
     assert calls[0] == 1
     assert out.details == {"p": 11}
+
+
+@pytest.mark.parametrize("group", [agl2_3(), cat.product_action(3, 3).group],
+                         ids=["agl23", "product33"])
+def test5_sampled_path(group, monkeypatch):
+    # above the cap test 5 samples its p-elements; a cap of 100 sends
+    # these groups of order 432 and 1296 down that path
+    monkeypatch.setattr(nb, "TEST5_EXHAUSTIVE_CAP", 100)
+    out = nb.test5_special_primes(group)
+    assert out.details["sampled"]
+    assert out.not_binary and out.certificate.rule == "stabilizer_divisibility"
+    assert out.verify(group)
+    assert nb.test5_special_primes(group).to_json() == out.to_json()
+
+
+def test5_sampled_path_skips_fixed_point_drop(monkeypatch):
+    # a sample cannot certify fixed-point maximality; on Alt(6) the full
+    # scan certifies p = 2 by that rule
+    alt6 = cat.alternating_natural(6).group
+    assert nb.test5_special_primes(alt6, 2).certificate.rule == "fixed_point_drop"
+    monkeypatch.setattr(nb, "TEST5_EXHAUSTIVE_CAP", 100)
+    for group in (alt6, agl2_3(), cat.product_action(3, 3).group):
+        for p in nb._prime_divisors(group.order()):
+            out = nb.test5_special_primes(group, p)
+            assert out.details["sampled"]
+            assert out.certificate is None or out.certificate.rule != "fixed_point_drop"
 
 
 def test5_cyclic_sylow_inconclusive():

@@ -33,7 +33,6 @@ def set_dedup_walk(lattice, prune=None):
             child_order = child.order()
             seen.add(child_set)
             lattice._memo.setdefault(child_set, child)
-            lattice._orders.setdefault(child_set, child_order)
             yield points + (p,), child_set, child
             yield from walk(points + (p,), child_set, child, child_order)
 
