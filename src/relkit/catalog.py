@@ -297,13 +297,10 @@ def affine_orthogonal(q, dim) -> CatalogEntry:
     if dim == 1:
         if q > 13:
             raise BadParameter("dim-1 entries capped at q <= 13")
-        translation = Permutation((x + 1) % q for x in range(q))
-        negation = Permutation((-x) % q for x in range(q))
-        group = PermutationGroup(q, [translation, negation])
         return CatalogEntry(
             name="affine_orthogonal",
             parameters={"q": q, "dim": 1},
-            group=group,
+            group=dihedral_polygon(q).group,  # x -> x+1 and x -> -x
             expected_rc=2,
             expected_rc_rule="anisotropic-form-witt-extension",
             expected_primitive=True,

@@ -132,16 +132,11 @@ class StabilizerChain:
                 return i
             i += 1
 
-    def _gens_at(self, i: int):
-        out = []
-        for level in self._levels[i:]:
-            out.extend(level.added)
-        return out
-
     def _rebuild_transversal(self, i: int):
         level = self._levels[i]
         level.transversal = schreier_tree(
-            level.point, self._gens_at(i), Permutation.identity(self.degree)
+            level.point, self.strong_generators_below(i),
+            Permutation.identity(self.degree),
         )
         level.inverses.clear()
 
@@ -160,7 +155,7 @@ class StabilizerChain:
                     self._rebuild_transversal(j)
                 return
             level = self._levels[i]
-            gens = [g.images for g in self._gens_at(i)]
+            gens = [g.images for g in self.strong_generators_below(i)]
             clean = True
             for b in sorted(level.transversal):
                 u_b = level.transversal[b].images
@@ -221,7 +216,10 @@ class StabilizerChain:
 
     def strong_generators_below(self, k: int):
         """Generators of the pointwise stabilizer of the first k base points."""
-        return self._gens_at(k)
+        out = []
+        for level in self._levels[k:]:
+            out.extend(level.added)
+        return out
 
     def transversal(self, i: int):
         return self._levels[i].transversal

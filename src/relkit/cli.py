@@ -4,7 +4,8 @@ Subcommands: stats, rc, tests, closure, homog, catalog, verify.
 All output is built as one JSON-serializable model; --format=table
 renders the same model for humans.  Exit codes: 0 success, 1 a
 verification criterion failed, 2 input error, 3 caps exceeded under
---strict, 4 an internal invariant failed (a bug in relkit).
+--strict, 4 an internal invariant failed (a bug in relkit), 141 stdout
+was closed before the output was written.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import catalog as cat
@@ -46,7 +48,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout early: point it at devnull, so the flush
+        # at exit cannot fail again, and exit as a shell reports SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -223,10 +233,8 @@ def cmd_tests(args) -> int:
             if not 0 <= p < group.degree:
                 raise BadParameter(f"--lambda point {token.strip()} outside 1..{group.degree}")
     elif selection == "beautiful":
-        print("error: --lambda is required for the beautiful-subset test",
-              file=sys.stderr)
-        return 2
-    if selection in ("all", None):
+        raise BadParameter("--lambda is required for the beautiful-subset test")
+    if selection == "all":
         names = list(BATTERY_ORDER)
     elif selection == "beautiful":
         names = []
@@ -273,8 +281,7 @@ def cmd_homog(args) -> int:
         emit(args, model)
         return 0
     if not args.structure_file:
-        print("error: need a structure file or --enumerate N", file=sys.stderr)
-        return 2
+        raise BadParameter("need a structure file or --enumerate N")
     structure = load_structure(args.structure_file)
     aut = automorphism_group(structure)
     verdict, failing = is_homogeneous(structure, aut=aut)
@@ -297,8 +304,7 @@ def cmd_catalog(args) -> int:
         emit(args, model)
         return 0
     if not args.name:
-        print("error: catalog build needs a name", file=sys.stderr)
-        return 2
+        raise BadParameter("catalog build needs a name")
     entry = cat.build_entry(args.name, *args.params)
     model = {
         "label": entry.label,

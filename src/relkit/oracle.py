@@ -16,6 +16,11 @@ from .perm import Permutation
 # and group order (they close the generators under multiplication).
 NAIVE_MAX_DEGREE = 8
 NAIVE_MAX_ORDER = 10**4
+# The element scans of brute_order and brute_transporter.
+BRUTE_MAX_ORDER = 10**6
+# The literal oracle scans tuples up to length degree, which is exact for
+# degree <= 4: every witness normalizes to length at most height + 1 <= degree.
+LITERAL_MAX_DEGREE = 4
 
 
 def mulclose(generators, degree, cap=None):
@@ -38,13 +43,13 @@ def mulclose(generators, degree, cap=None):
     return sorted(els)
 
 
-def brute_order(group, cap=10**6) -> int:
-    return len(mulclose(group.generators, group.degree, cap))
+def brute_order(group) -> int:
+    return len(mulclose(group.generators, group.degree, BRUTE_MAX_ORDER))
 
 
-def brute_transporter(group, src, dst, cap=10**6):
+def brute_transporter(group, src, dst):
     """Scan all elements for one mapping src -> dst pointwise."""
-    for images in mulclose(group.generators, group.degree, cap):
+    for images in mulclose(group.generators, group.degree, BRUTE_MAX_ORDER):
         if all(images[a] == b for a, b in zip(src, dst)):
             return Permutation(images)
     return None
@@ -155,19 +160,15 @@ def naive_relational_complexity(group) -> int:
     return max(2, best + 1)
 
 
-def literal_relational_complexity(group, max_degree=4, max_length=None) -> int:
+def literal_relational_complexity(group) -> int:
     """RC by the raw definition: scan every pair of tuples, repeats included.
 
     Exponential; used only to validate the naive oracle on tiny groups.
-    The default length cap of degree is exact for degree <= 4, where every
-    witness normalizes to length at most height + 1 <= degree.
     """
     n = group.degree
-    if n > max_degree:
-        raise TooLarge(f"literal oracle capped at degree {max_degree}")
+    if n > LITERAL_MAX_DEGREE:
+        raise TooLarge(f"literal oracle capped at degree {LITERAL_MAX_DEGREE}")
     elements = mulclose(group.generators, n)
-    if max_length is None:
-        max_length = n
 
     def transports(src, dst):
         return any(all(e[a] == b for a, b in zip(src, dst)) for e in elements)
@@ -180,7 +181,7 @@ def literal_relational_complexity(group, max_degree=4, max_length=None) -> int:
         )
 
     best = 1
-    for length in range(2, max_length + 1):
+    for length in range(2, n + 1):
         for src in itertools.product(range(n), repeat=length):
             for dst in itertools.product(range(n), repeat=length):
                 if transports(src, dst):

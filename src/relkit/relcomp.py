@@ -138,27 +138,20 @@ def _witness_at_prefix(lattice, prefix_set, stab):
 
     Returns (alpha, beta, per-dropped-index transporters) on success.
     """
-    prefix = sorted(prefix_set)
-    full_order = stab.order()
-    side_groups = []
-    for x in prefix:
-        side = lattice.stabilizer(prefix_set - {x})
-        if side.order() == full_order:
-            return None  # x redundant: the intersection can never escape
-        side_groups.append(side)
+    side_groups = lattice.side_groups(prefix_set)
+    if side_groups is None:
+        return None  # a redundant point: the intersection can never escape
     for alpha, orbit in stab.orbits():
         if alpha in prefix_set:
             continue
-        candidates = None
-        for side in side_groups:
-            if candidates is None:
-                candidates = side.orbit(alpha)
-            else:
-                candidates &= side.orbit(alpha)
-            if len(candidates) <= 1:
+        # every side group contains stab, so each side orbit of alpha
+        # contains its orbit: once the intersection shrinks to that orbit,
+        # nothing is left to escape
+        candidates = side_groups[0].orbit(alpha)
+        for side in side_groups[1:]:
+            if len(candidates) == len(orbit):
                 break
-        if candidates is None or len(candidates) <= 1:
-            continue
+            candidates &= side.orbit(alpha)
         escaped = candidates.difference(orbit)
         if not escaped:
             continue

@@ -76,10 +76,21 @@ class StabilizerLattice:
     def order(self, points: frozenset) -> int:
         return self.stabilizer(points).order()
 
+    def side_groups(self, points: frozenset):
+        """The stabilizers of points - {p}, p ascending, or None as soon as
+        some p is redundant: dropping it leaves the stabilizer order as is."""
+        full = self.order(points)
+        sides = []
+        for p in sorted(points):
+            side = self.stabilizer(points - {p})
+            if side.order() == full:
+                return None
+            sides.append(side)
+        return sides
+
     def is_independent(self, points: frozenset) -> bool:
         """No point is redundant: dropping any point enlarges the stabilizer."""
-        full = self.order(points)
-        return all(self.order(points - {p}) > full for p in points)
+        return self.side_groups(points) is not None
 
 
 def orbital_colours(group: PermutationGroup):

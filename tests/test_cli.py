@@ -163,6 +163,31 @@ def test_tests_zero_trials_is_valid(capsys, s4_file):
 def test_tests_beautiful_requires_lambda(capsys, s4_file):
     code = main(["tests", s4_file, "--test=beautiful"])
     assert code == 2
+    assert capsys.readouterr().err == "error: --lambda is required for the beautiful-subset test\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["homog"], "need a structure file or --enumerate N"),
+    (["catalog", "build"], "catalog build needs a name"),
+], ids=["homog", "catalog-build"])
+def test_missing_argument_is_an_input_error(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_closed_stdout_exits_141_without_a_traceback(agl15_file):
+    # the read end closes before relkit can have written, so the write fails
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen([sys.executable, "-m", "relkit", "stats", agl15_file, "--format=json"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert err == b""
 
 
 @pytest.mark.parametrize("lam", ["1", "1,1", "a,b"])

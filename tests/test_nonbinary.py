@@ -14,6 +14,7 @@ from relkit.errors import (
     AbelianInput,
     ConditionFailed,
     DegreeTooLarge,
+    GroupTooLarge,
     NotFrobenius,
     NotNormal,
     NotTransitive,
@@ -87,6 +88,46 @@ def test1_enumerates_the_group_once(monkeypatch):
 def test1_requires_transitive():
     with pytest.raises(NotTransitive):
         nb.test1_character_bound(cat.intransitive_join(3).group)
+
+
+def test1_fixed_point_sum_alone_past_the_tuple_budget(monkeypatch):
+    # (30)_4 distinct 4-tuples exceed the budget: ell = 4, 5 are counted
+    # by the fixed-point sum only
+    by_tuples = counting(monkeypatch, nb, "_orbit_count_tuples")
+    out = nb.test1_character_bound(cat.cyclic_regular(30).group)
+    assert out.details["counts"] == {2: 29, 3: 812, 4: 21_924, 5: 570_024}  # (30)_ell / 30
+    assert by_tuples[0] == 2
+    assert not out.not_binary
+
+
+def test1_tuples_alone_past_the_enumeration_cap(monkeypatch):
+    g = cat.symmetric_natural(9).group  # order 362 880 > ELEMENT_ENUM_CAP
+    enumerations = counting(monkeypatch, PermutationGroup, "elements")
+    out = nb.test1_character_bound(g)
+    assert out.details["counts"] == {ell: 1 for ell in range(2, 6)}
+    assert enumerations[0] == 0
+    assert not out.not_binary
+
+
+def test1_truncates_where_neither_route_is_affordable():
+    # Sym(30), its order given so that no chain is built
+    gens = [Permutation.from_cycles([[0, 1]], 30), Permutation.from_cycles([list(range(30))], 30)]
+    out = nb.test1_character_bound(PermutationGroup(30, gens, _order=math.factorial(30)))
+    assert not out.not_binary
+    assert out.details == {"counts": {2: 1, 3: 1}, "truncated_at": 4}
+
+
+def test1_unaffordable_pairs_are_not_applicable():
+    # AGL(1, 641): order 641 * 640 and (641)_2 distinct pairs, both past their caps
+    p = 641
+    g = PermutationGroup(p, [Permutation((x + 1) % p for x in range(p)),
+                             Permutation(3 * x % p for x in range(p))])
+    assert g.order() == p * (p - 1)
+    with pytest.raises(GroupTooLarge):
+        nb.test1_character_bound(g)
+    [out] = run_battery(g, tests=["1"])
+    assert not out.not_binary
+    assert out.details["not_applicable"].startswith("GroupTooLarge: ")
 
 
 # -- test 2 and closures ---------------------------------------------------------
