@@ -28,6 +28,7 @@ installed as a strong generator.
 
 from __future__ import annotations
 
+from .errors import PointOutOfRange
 from .perm import Permutation, _trusted
 
 
@@ -106,7 +107,7 @@ class StabilizerChain:
         seen = set()
         for p in base_prefix:
             if not 0 <= p < degree:
-                raise ValueError(f"base point {p} out of range")
+                raise PointOutOfRange(f"base point {p} out of range")
             if p in seen:
                 continue
             seen.add(p)

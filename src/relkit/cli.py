@@ -111,7 +111,7 @@ def build_parser():
     p.add_argument("--prime", type=int, default=None)
     p.add_argument("--trials", type=int, default=DEFAULT_TEST6_TRIALS)
     p.add_argument("--lambda", dest="lambda_", default=None,
-                   help="comma-separated 1-based points (for beautiful)")
+                   help="comma-separated 1-based points (for beautiful or all)")
     p.add_argument("--all", action="store_true",
                    help="do not stop at the first NotBinary verdict")
     p.set_defaults(handler=cmd_tests)
@@ -223,7 +223,7 @@ def cmd_tests(args) -> int:
     group = load_group(args.group_file)
     selection = args.test
     lam = None
-    if selection in ("beautiful", "all") and args.lambda_:
+    if selection in ("beautiful", "all") and args.lambda_ is not None:
         tokens = args.lambda_.split(",")
         try:
             lam = [int(x) - 1 for x in tokens]
@@ -234,6 +234,8 @@ def cmd_tests(args) -> int:
                 raise BadParameter(f"--lambda point {token.strip()} outside 1..{group.degree}")
     elif selection == "beautiful":
         raise BadParameter("--lambda is required for the beautiful-subset test")
+    elif args.lambda_ is not None:
+        raise BadParameter("--lambda applies only to --test beautiful or all")
     if selection == "all":
         names = list(BATTERY_ORDER)
     elif selection == "beautiful":

@@ -57,10 +57,6 @@ class AbelianInput(RelkitError):
     """Operation requires a nonabelian group."""
 
 
-class NoValidPair(RelkitError):
-    """No noncommuting pair with an element of order > 2 exists."""
-
-
 class BadParameter(RelkitError):
     """Constructor parameter outside the supported range."""
 

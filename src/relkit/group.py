@@ -71,6 +71,22 @@ def orbits_under(domain, generators, act):
         yield start, orbit
 
 
+def tuple_orbits(group, k):
+    """Yield the G-orbits on k-tuples, repeats included, in order of their
+    lexicographic minima, each as a set of codes: (x_1, ..., x_k) has the
+    base-n code x_1 n^(k-1) + ... + x_k, so codes order as the tuples do.
+    Each generator acts as one list over the codes."""
+    n = group.degree
+    gens = []
+    for g in group.generators:
+        codes = [0]
+        for _ in range(k):
+            codes = [c * n + y for c in codes for y in g.images]
+        gens.append(codes)
+    for _, orbit in orbits_under(range(n ** k), gens, _point_image):
+        yield orbit
+
+
 class PermutationGroup:
     def __init__(self, degree: int, generators, base_prefix=(), _order=None):
         if degree < 1:

@@ -26,7 +26,6 @@ from .errors import (
     PrimeDoesNotDivide,
     ConditionFailed,
     AbelianInput,
-    NoValidPair,
 )
 from .group import PermutationGroup, orbits_under, tuple_image
 from .perm import Permutation, format_permutation
@@ -936,7 +935,7 @@ def diagonal_patch_witness(T: PermutationGroup) -> TestOutcome:
     if not candidates:
         # cannot happen for nonabelian T: two noncommuting involutions
         # have a noncommuting product of larger order
-        raise NoValidPair("no noncommuting pair with an element of order > 2")
+        raise InternalInconsistency("no noncommuting pair with an element of order > 2")
     for a, b in candidates:
         points = (index[T.identity()], index[a], index[b])
         I = points + (index[a * b],)

@@ -53,7 +53,7 @@ backtrack with partition refinement on top).
 from __future__ import annotations
 
 from .chain import maps_onto
-from .group import PermutationGroup, orbits_under
+from .group import PermutationGroup, tuple_orbits
 
 
 class StabilizerLattice:
@@ -95,12 +95,8 @@ class StabilizerLattice:
 
 def orbital_colours(group: PermutationGroup):
     """Flat n x n table: entry a*n + b numbers the G-orbit of (a, b)."""
-    n = group.degree
-    # each generator as a map of pair numbers a*n + b
-    gens = [[x * n + y for x in g.images for y in g.images] for g in group.generators]
-    colour = [0] * (n * n)
-    orbitals = orbits_under(range(n * n), gens, lambda x, g: g[x])
-    for index, (_, orbit) in enumerate(orbitals):
+    colour = [0] * group.degree ** 2
+    for index, orbit in enumerate(tuple_orbits(group, 2)):
         for x in orbit:
             colour[x] = index
     return colour

@@ -16,7 +16,7 @@ from functools import cached_property
 from operator import itemgetter
 
 from .errors import ArityTooLarge, CapExceeded, ParseError, TooLarge, VertexOutOfRange
-from .group import PermutationGroup, orbits_under, tuple_image
+from .group import PermutationGroup, orbits_under, tuple_image, tuple_orbits
 from .perm import Permutation
 
 HOMOGENEITY_VERTEX_CAP = 10
@@ -250,8 +250,10 @@ def is_homogeneous(structure, aut=None):
     Source subsets range over Aut-orbit representatives (a pure symmetry
     reduction); targets range over all subsets of the same size.  An
     isomorphism between the substructures induced on two subsets is a
-    partial isomorphism of the structure itself, so it is searched there.
-    A caller that already holds the automorphism group passes it as aut.
+    partial isomorphism of the structure itself, so it is searched there,
+    and it extends exactly when its image tuple lies in the Aut-orbit of
+    the source tuple, closed once per source.  A caller that already
+    holds the automorphism group passes it as aut.
     """
     n = structure.vertices
     if n > HOMOGENEITY_VERTEX_CAP:
@@ -266,10 +268,11 @@ def is_homogeneous(structure, aut=None):
         )
         for src, _ in subset_orbits:
             src_sorted = tuple(sorted(src))
+            _, reachable = next(orbits_under([src_sorted], gens, tuple_image))
             checks = _level_checks(structure, structure, src_sorted)
             for dst in subsets:
                 for image in _extensions(checks, sorted(dst)):
-                    if aut.transporter(src_sorted, image) is None:
+                    if image not in reachable:
                         return False, dict(zip(src_sorted, image))
     return True, None
 
@@ -284,12 +287,12 @@ def canonical_structure(group, s) -> RelationalStructure:
     n = group.degree
     if n ** s > 10**6:
         raise TooLarge(f"orbit enumeration over {n}^{s} tuples is too large")
-    gens = [g.images for g in group.generators]
     relations = []
     for arity in range(2, s + 1):
-        domain = itertools.product(range(n), repeat=arity)
+        tuples = list(itertools.product(range(n), repeat=arity))
         relations.extend(
-            (arity, frozenset(orbit)) for _, orbit in orbits_under(domain, gens, tuple_image)
+            (arity, frozenset(map(tuples.__getitem__, orbit)))
+            for orbit in tuple_orbits(group, arity)
         )
     return RelationalStructure(n, tuple(relations))
 

@@ -27,7 +27,7 @@ from .digraphs import (
     sporadic_h2,
     undirected_cycle,
 )
-from .errors import CapExceeded
+from .errors import BadParameter, CapExceeded
 from .group import PermutationGroup
 from .nonbinary import (
     diagonal_patch_witness,
@@ -326,7 +326,7 @@ def run_criterion(number):
             result["criterion"] = num
             result["name"] = name
             return result
-    raise ValueError(f"no criterion {number}")
+    raise BadParameter(f"no criterion {number}")
 
 
 def run_all(numbers=None, echo=print, jobs=1):

@@ -4,9 +4,11 @@ Schreier-Sims builds and the brute-force oracle."""
 
 from math import prod
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from relkit.chain import StabilizerChain
+from relkit.errors import PointOutOfRange
 from relkit.group import PermutationGroup
 from relkit.oracle import brute_order
 from relkit.perm import Permutation
@@ -146,6 +148,12 @@ def test_pointwise_stabilizer_carries_its_order(case):
     assert levels(stab.chain) == levels(fresh.chain)
     rebased = stab.rebased(points[::-1])
     assert levels(rebased.chain) == levels(StabilizerChain(degree, stab.generators, points[::-1]))
+
+
+@pytest.mark.parametrize("point", [-1, 5])
+def test_base_point_out_of_range(point):
+    with pytest.raises(PointOutOfRange):
+        StabilizerChain(5, [Permutation.from_cycles([[0, 1]], 5)], (0, point))
 
 
 def test_rebased_does_not_build_a_chain_to_learn_the_order():

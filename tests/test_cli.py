@@ -166,6 +166,17 @@ def test_tests_beautiful_requires_lambda(capsys, s4_file):
     assert capsys.readouterr().err == "error: --lambda is required for the beautiful-subset test\n"
 
 
+@pytest.mark.parametrize("selection,lam,message", [
+    ("3", "1,2,3", "--lambda applies only to --test beautiful or all"),
+    ("3", "", "--lambda applies only to --test beautiful or all"),
+    ("all", "", "--lambda needs comma-separated integers, not ''"),
+])
+def test_tests_lambda_is_never_dropped(capsys, s4_file, monkeypatch, selection, lam, message):
+    monkeypatch.setattr(cli, "run_battery", lambda *a, **k: pytest.fail("a test ran"))
+    assert main(["tests", s4_file, f"--test={selection}", "--lambda", lam]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["homog"], "need a structure file or --enumerate N"),
     (["catalog", "build"], "catalog build needs a name"),
@@ -394,6 +405,14 @@ def test_verify_filter_selecting_nothing_is_an_input_error(capsys, token):
     assert captured.out == ""  # no criterion ran
     assert captured.err.splitlines() == [captured.err.strip()]
     assert captured.err.startswith("error: ") and repr(token) in captured.err
+
+
+def test_run_criterion_unknown_number_is_a_bad_parameter():
+    from relkit.errors import BadParameter
+    from relkit.verify import run_criterion
+
+    with pytest.raises(BadParameter, match="no criterion 99"):
+        run_criterion(99)
 
 
 @pytest.mark.parametrize("spec", ["1,", ",1", "1,,2", ""])

@@ -4,10 +4,12 @@ closure generators, which test 2's certificate depends on."""
 import itertools
 import tracemalloc
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from relkit import catalog as cat
 from relkit.closure import k_closure
+from relkit.errors import BadParameter
 from relkit.group import PermutationGroup
 from relkit.oracle import mulclose
 from relkit.perm import Permutation, format_permutation
@@ -80,3 +82,9 @@ def test_closure_memory_is_linear_in_the_tuple_count():
             tracemalloc.stop()
 
     assert peak_per_tuple(32) < 1.5 * peak_per_tuple(16)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_closure_arity_outside_2_and_3_is_a_bad_parameter(k):
+    with pytest.raises(BadParameter):
+        k_closure(cat.symmetric_natural(3).group, k)

@@ -5,7 +5,8 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from test_chain import subgroups_with_points
 
 from relkit import catalog as cat
 from relkit.errors import (
@@ -22,6 +23,7 @@ from relkit.group import (
     load_group,
     orbits_under,
     tuple_image,
+    tuple_orbits,
 )
 from relkit.oracle import brute_order, brute_transporter, mulclose
 from relkit.perm import Permutation, parse_permutation
@@ -475,3 +477,33 @@ def test_orbits_under_partitions_in_domain_order():
         # point orbits A = {0,1,2}, B = {3,4}, C = {5}: three orbits on A x A,
         # two on B x B, one on each of the seven other products
         assert len(orbits) == 3 + 2 + 7
+
+
+def brute_tuple_orbits(group, k):
+    """G-orbits on k-tuples closed under every element of G, by minimum."""
+    elements = mulclose(group.generators, group.degree)
+    orbits, seen = [], set()
+    for t in itertools.product(range(group.degree), repeat=k):
+        if t not in seen:
+            orbit = {tuple(e[x] for x in t) for e in elements}
+            seen |= orbit
+            orbits.append(orbit)
+    return orbits
+
+
+@example((5, [], []), 3)  # the trivial group: one orbit per tuple
+@example((1, [], []), 1)
+@example((1, [], []), 3)
+@given(subgroups_with_points(), st.sampled_from([1, 2, 3]))
+@settings(max_examples=60, deadline=None)
+def test_tuple_orbits_against_element_closure(case, k):
+    degree, gens, _ = case
+    group = PermutationGroup(degree, gens)
+    tuples = list(itertools.product(range(degree), repeat=k))
+    # code x_1 n^(k-1) + ... + x_k is the tuple's place in lexicographic order
+    orbits = [{tuples[c] for c in orbit} for orbit in tuple_orbits(group, k)]
+    assert sum(map(len, orbits)) == len(tuples)
+    assert set().union(*orbits) == set(tuples)
+    minima = [min(orbit) for orbit in orbits]
+    assert minima == sorted(minima)
+    assert orbits == brute_tuple_orbits(group, k)

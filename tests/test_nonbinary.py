@@ -15,6 +15,7 @@ from relkit.errors import (
     ConditionFailed,
     DegreeTooLarge,
     GroupTooLarge,
+    InternalInconsistency,
     NotFrobenius,
     NotNormal,
     NotTransitive,
@@ -662,6 +663,14 @@ def test_diagonal_rejects_abelian():
         diagonal_patch_witness(cat.cyclic_regular(4).group)
 
 
+def test_diagonal_without_a_candidate_pair_is_internal(monkeypatch):
+    # nonabelian T always has a pair; none shows only if every element
+    # claims order 2, and that is a bug, not an input error
+    monkeypatch.setattr(Permutation, "order", lambda self: 2)
+    with pytest.raises(InternalInconsistency):
+        diagonal_patch_witness(cat.alternating_natural(4).group)
+
+
 def test_diagonal_stabilizer_shape():
     T = cat.symmetric_natural(3).group
     action, elements = holomorph_like_action(T)
@@ -757,16 +766,105 @@ def test_battery_handles_inapplicable():
 def test_orbital_coloring_invariant():
     from relkit.closure import OrbitalColoring
     for entry in [cat.dihedral_polygon(5), cat.agl1(5), cat.product_action(2, 2)]:
-        coloring = OrbitalColoring(entry.group, 2)
+        n = entry.group.degree
+        classes = OrbitalColoring(entry.group, 2).classes
+        # the classes partition Omega^2
+        assert sum(map(len, classes)) == n * n
+        assert set().union(*classes) == set(itertools.product(range(n), repeat=2))
+        # and every generator maps each class onto itself
         for g in entry.group.generators:
-            for a in range(entry.group.degree):
-                for b in range(entry.group.degree):
-                    assert coloring.color[(a, b)] == coloring.color[(g(a), g(b))]
+            for c in classes:
+                assert {(g(a), g(b)) for a, b in c} == c
 
 
 def test_orbital_coloring_counts():
     from relkit.closure import OrbitalColoring
     c5 = OrbitalColoring(cat.cyclic_regular(5).group, 2)
-    assert c5.count == 5  # diagonal + four difference classes
+    assert len(c5.classes) == 5  # diagonal + four difference classes
     s5 = OrbitalColoring(cat.symmetric_natural(5).group, 2)
-    assert s5.count == 2  # diagonal + distinct pairs
+    assert len(s5.classes) == 2  # diagonal + distinct pairs
+
+
+# -- certificate checks reject ---------------------------------------------------------
+
+def _produced(test, entry, *args):
+    """(group, the certificate a battery test produces on a catalog entry)."""
+    group = entry.group
+    return group, test(group, *args).certificate
+
+
+def _alt6_fixed_point_drop():
+    return _produced(nb.test5_special_primes, cat.alternating_natural(6), 2)
+
+
+def _mutated(produce, **fields):
+    group, cert = produce()
+    return group, dataclasses.replace(cert, **fields)
+
+
+def _pair_with_a_wrong_transporter():
+    group, cert = _produced(nb.test3_triples, cat.agl1(5))
+    pair = cert.pair
+    moved = next(s for s in pair.transporters if any(pair.I[i] != pair.J[i] for i in s))
+    return group, dataclasses.replace(
+        pair, transporters={**pair.transporters, moved: group.identity()})
+
+
+def _incomplete_witness_pair():
+    group, cert = _produced(nb.test3_triples, cat.agl1(5))
+    # complete on the full tuples would make them equivalent
+    return group, dataclasses.replace(
+        cert, pair=dataclasses.replace(cert.pair, completeness_level=len(cert.pair.I)))
+
+
+def _h_in_g():
+    group, cert = _alt6_fixed_point_drop()
+    return group, dataclasses.replace(cert, h=cert.g)
+
+
+def _frobenius_on_sym5():
+    _, cert = _produced(frobenius_test, cat.agl1(5))
+    return cat.symmetric_natural(5).group, cert
+
+
+def _by_hand(entry, rule, g, h, alpha=None):
+    """A p = 2 configuration built by hand from cycle lists."""
+    n = entry.group.degree
+    g, h = Permutation.from_cycles(g, n), Permutation.from_cycles(h, n)
+    return entry.group, nb.PrimeConfigCertificate(rule, 2, g, h, alpha)
+
+
+KLEIN = ([[0, 1], [2, 3]], [[0, 2], [1, 3]])
+
+
+@pytest.mark.parametrize("case", [
+    _pair_with_a_wrong_transporter,
+    _incomplete_witness_pair,
+    lambda: _mutated(lambda: _produced(nb.test2_strongly_non_k_ary, cat.alternating_natural(4)),
+                     element=Permutation.identity(4)),
+    _frobenius_on_sym5,
+    lambda: _mutated(_alt6_fixed_point_drop, g=Permutation.from_cycles([[0, 1]], 6)),
+    lambda: _mutated(_alt6_fixed_point_drop, p=3),
+    _h_in_g,
+    lambda: _mutated(lambda: _produced(nb.test5_special_primes, cat.psl2_projective(5), 2),
+                     alpha=None),
+    # degree 5 is odd
+    lambda: _by_hand(cat.alternating_natural(5), "stabilizer_divisibility", *KLEIN, alpha=4),
+    # a point stabilizer of Alt(6) has order 60, divisible by 4
+    lambda: _by_hand(cat.alternating_natural(6), "stabilizer_divisibility", *KLEIN, alpha=4),
+    # h is a transposition, g is not
+    lambda: _by_hand(cat.symmetric_natural(6), "fixed_point_drop", [[0, 1], [2, 3]], [[4, 5]]),
+    # g h^-1 = (0 1)(2 3) is not a transposition
+    lambda: _by_hand(cat.symmetric_natural(6), "fixed_point_drop", [[0, 1]], [[2, 3]]),
+    # Fix(g) is empty, so no fixed point drops
+    lambda: _by_hand(cat.alternating_natural(4), "fixed_point_drop", *KLEIN),
+    lambda: _mutated(_alt6_fixed_point_drop, rule="unknown"),
+], ids=[
+    "pair-wrong-transporter", "witness-incomplete", "closure-element-in-group",
+    "frobenius-not-frobenius", "prime-element-outside", "prime-wrong-order",
+    "prime-h-in-g", "prime-no-alpha", "prime-degree", "prime-stabilizer-order",
+    "prime-h-not-conjugate", "prime-gh-not-conjugate", "prime-no-drop", "prime-unknown-rule",
+])
+def test_certificate_check_rejects(case):
+    group, certificate = case()
+    assert not certificate.verify(group)
