@@ -196,10 +196,7 @@ class StabilizerChain:
         return [level.point for level in self._levels]
 
     def order(self) -> int:
-        n = 1
-        for level in self._levels:
-            n *= len(level.transversal)
-        return n
+        return self.order_below(0)
 
     def order_below(self, k: int) -> int:
         """Order of the stabilizer of the first k base points."""

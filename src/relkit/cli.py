@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from . import catalog as cat
+from . import catalog as cat, verify
 from .closure import k_closure
 from .digraphs import enumerate_homogeneous_digraphs
 from .errors import (
@@ -41,7 +41,6 @@ from .perm import format_permutation
 from .relcomp import relational_complexity
 from .stats import compute_statistics
 from .structures import automorphism_group, is_homogeneous, load_structure
-from .verify import run_all
 
 
 def main(argv=None) -> int:
@@ -327,12 +326,10 @@ def cmd_verify(args) -> int:
     if args.filter is not None:
         tokens = [t.strip() for t in args.filter.split(",")]
         numbers = set()
-        from .verify import CRITERIA
-
         for token in tokens:
             if not token:
                 raise BadParameter(f"--filter {args.filter!r} has an empty token")
-            selected = {num for num, name, _ in CRITERIA
+            selected = {num for num, name, _ in verify.CRITERIA
                         if (num == int(token) if token.isdigit() else token in name)}
             if not selected:
                 raise BadParameter(f"--filter token {token!r} selects no criterion")
@@ -340,7 +337,7 @@ def cmd_verify(args) -> int:
     as_json = args.format == "json"
     # in JSON mode the PASS/FAIL lines go to stderr: stdout holds the model alone
     echo = functools.partial(print, file=sys.stderr) if as_json else print
-    summary = run_all(numbers=numbers, echo=echo, jobs=args.jobs)
+    summary = verify.run_all(numbers=numbers, echo=echo, jobs=args.jobs)
     if as_json:
         print(json.dumps(summary, indent=2))
     return 0 if summary["all_passed"] else 1

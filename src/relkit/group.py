@@ -266,7 +266,7 @@ class PermutationGroup:
         known_chain = [StabilizerChain(self.degree, pointwise, lam)]
 
         def search(i, targets, used):
-            if i > 0 and targets != lam[:i] and known_chain[0]._descend(0, targets):
+            if i > 0 and targets != lam[:i] and known_chain[0].descend(targets):
                 return
             if i == len(lam):
                 g = chain.descend(targets)
@@ -279,7 +279,7 @@ class PermutationGroup:
             for c in lam:
                 if c in used:
                     continue
-                if chain._descend(0, targets + [c]) is None:
+                if chain.descend(targets + [c]) is None:
                     continue
                 search(i + 1, targets + [c], used | {c})
 
@@ -396,7 +396,7 @@ class PermutationGroup:
                 # points beyond the chain base are determined; re-check fully
                 return x if all(x(g(p)) == h(x(p)) for p in range(self.degree)) else None
             a = chain.base[i]
-            prefix = chain._descend(0, targets)
+            prefix = chain.descend(targets)
             if prefix is None:
                 return None
             used = set(img.values())
@@ -439,12 +439,25 @@ class PermutationGroup:
         return f"PermutationGroup(degree={self.degree}, <{gens}>)"
 
 
+def _json_int(value, what):
+    """value, if JSON read it as an integer (not a float or a boolean)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _json_list(value, what):
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a list, not {value!r}")
+    return value
+
+
 def group_from_json(data) -> PermutationGroup:
     """Accepts {"degree": n, "generators": [...]} or {"degree": n, "generator_images": [...]}."""
     if not isinstance(data, dict) or "degree" not in data:
         raise ParseError("group file must be an object with a 'degree' field")
-    degree = data["degree"]
-    if not isinstance(degree, int) or degree < 1:
+    degree = _json_int(data["degree"], "'degree'")
+    if degree < 1:
         raise ParseError("'degree' must be a positive integer")
     has_cycles = "generators" in data
     has_images = "generator_images" in data
@@ -453,10 +466,14 @@ def group_from_json(data) -> PermutationGroup:
     gens = []
     try:
         if has_cycles:
-            for text in data["generators"]:
+            for text in _json_list(data["generators"], "'generators'"):
+                if not isinstance(text, str):
+                    raise ParseError(f"a generator must be a cycle string, not {text!r}")
                 gens.append(parse_permutation(text, degree))
         else:
-            for images in data["generator_images"]:
+            for images in _json_list(data["generator_images"], "'generator_images'"):
+                for point in _json_list(images, "a generator's images"):
+                    _json_int(point, "an image point")
                 if sorted(images) != list(range(degree)):
                     raise ParseError(f"images {images} are not a bijection of 0..{degree - 1}")
                 gens.append(Permutation(images))

@@ -1,7 +1,8 @@
 """Computational non-binarity battery.
 
 Each test is one-sided: NotBinary verdicts carry a certificate that can
-be re-validated with the core primitives; Inconclusive means the test
+be re-validated with the core primitives (all but the counting path of
+frobenius_test with a normal subgroup); Inconclusive means the test
 found nothing, never that the action is binary.  Tests are pure
 functions of (group, parameters, seed).
 """
@@ -32,7 +33,6 @@ from .perm import Permutation, format_permutation
 from .relcomp import (
     TuplePair,
     _witness_at_prefix,
-    orbit_equivalent,
     suborbit_rcs,
     subtuple_complete,
     witness_pair,
@@ -86,12 +86,7 @@ class WitnessPairCertificate:
     pair: TuplePair
 
     def verify(self, group) -> bool:
-        level = self.pair.completeness_level
-        if not subtuple_complete(group, self.pair.I, self.pair.J, level):
-            return False
-        if self.pair.equivalent:
-            return False
-        return self.pair.verify(group)
+        return not self.pair.equivalent and self.pair.verify(group)
 
     def to_json(self) -> dict:
         return {"kind": "witness_pair", **self.pair.to_json()}
@@ -305,13 +300,14 @@ def _orbit_count_tuples(group, ell) -> int:
 
 
 def _complete_pair(group, I, J, k):
-    """(I, J) as a non-equivalent TuplePair with its per-subset transporters,
-    or None when some k-subset of positions has no transporter."""
-    result = subtuple_complete(group, I, J, k)
-    if not result:
+    """(I, J) as a witness TuplePair with its per-subset transporters, or
+    None when some k-subset of positions has no transporter or the full
+    tuples are equivalent."""
+    transporters = subtuple_complete(group, I, J, k)
+    if transporters is None or group.transporter(I, J) is not None:
         return None
     return TuplePair(I=I, J=J, completeness_level=k,
-                     transporters=result.certificates, equivalent=False)
+                     transporters=transporters, equivalent=False)
 
 
 def _cyclic_conjugate(group, g, h):
@@ -396,7 +392,7 @@ def full_tuple_pair(group, sigma, k) -> TuplePair:
     I = tuple(range(n))
     pair = _complete_pair(group, I, sigma.apply_tuple(I), k)
     if pair is None:
-        raise InternalInconsistency("closure element must give a k-subtuple-complete pair")
+        raise InternalInconsistency("closure element must give a witness pair")
     return pair
 
 
@@ -449,9 +445,7 @@ def test4_suborbits(group) -> TestOutcome:
             J = (0,) + tuple(lam[p] for p in witness.J)
             pair = _complete_pair(group, I, J, 2)
             if pair is None:
-                raise InternalInconsistency(
-                    "lifted suborbit witness must stay 2-subtuple complete"
-                )
+                raise InternalInconsistency("lifted suborbit witness must stay a witness pair")
             return TestOutcome(
                 "test4", NOT_BINARY, WitnessPairCertificate(pair),
                 {"suborbit_size": len(lam), "suborbit_rc": rc},
@@ -746,7 +740,7 @@ def _frobenius_subgroup_paths(group, F) -> TestOutcome:
         I = (to_omega[0], to_omega[1 % n], to_omega[a])
         J = (to_omega[0], to_omega[1 % n], to_omega[b])
         pair = _complete_pair(group, I, J, 2)
-        if pair is not None and not orbit_equivalent(group, I, J):
+        if pair is not None:
             return TestOutcome(
                 "frobenius", NOT_BINARY, WitnessPairCertificate(pair),
                 {"path": "cyclic_kernel", "kernel_size": n, "exponent": k},
@@ -816,7 +810,7 @@ def check_beautiful(group, normal_subgroup, lam) -> TestOutcome:
     I = tuple(lam)
     J = (lam[1], lam[0]) + tuple(lam[2:])
     pair = _complete_pair(group, I, J, 2)
-    if pair is None or orbit_equivalent(group, I, J):
+    if pair is None:
         raise InternalInconsistency("beautiful subset must yield a witness pair")
     cert = BeautifulSubsetCertificate(tuple(lam), induced.order(), pair)
     return TestOutcome("beautiful", NOT_BINARY, cert, details)
@@ -940,21 +934,22 @@ def diagonal_patch_witness(T: PermutationGroup) -> TestOutcome:
         points = (index[T.identity()], index[a], index[b])
         I = points + (index[a * b],)
         J = points + (index[b * a],)
-        # the three stated conjugations always certify 2-subtuple completeness
+        # the 4-subtuple failure is a genuine check: inversion composed
+        # with a conjugation can defeat it in small non-simple cases
+        if action.transporter(I, J) is not None:
+            continue
+        # the three stated conjugations always certify 2-subtuple
+        # completeness; a subset none of them covers fails the verify below
         witnesses = [conjugation_by(T.identity()), conjugation_by(a),
                      conjugation_by(b.inverse())]
         transporters = {}
         for subset in itertools.combinations(range(4), 2):
             src = tuple(I[i] for i in subset)
             dst = tuple(J[i] for i in subset)
-            found = next((w for w in witnesses if w.apply_tuple(src) == dst), None)
-            if found is None:
-                raise InternalInconsistency("stated conjugations must certify 2-completeness")
-            transporters[subset] = found
-        # the 4-subtuple failure is a genuine check: inversion composed
-        # with a conjugation can defeat it in small non-simple cases
-        if orbit_equivalent(action, I, J):
-            continue
+            for w in witnesses:
+                if w.apply_tuple(src) == dst:
+                    transporters[subset] = w
+                    break
         pair = TuplePair(I=I, J=J, completeness_level=2,
                          transporters=transporters, equivalent=False)
         outcome = TestOutcome(

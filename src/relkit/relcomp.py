@@ -50,8 +50,15 @@ class TuplePair:
     equivalent: bool = False
 
     def verify(self, group: PermutationGroup) -> bool:
-        """Re-check every recorded certificate and the (non-)equivalence:
-        each transporter must lie in the group and map I|S onto J|S."""
+        """Re-check the certificate: exactly one recorded transporter per
+        min(k, |I|)-subset S of positions, each in the group and mapping
+        I|S onto J|S, and the recorded (non-)equivalence of I and J."""
+        n = len(self.I)
+        if len(self.J) != n or self.completeness_level < 1:
+            return False
+        size = min(self.completeness_level, n)
+        if self.transporters.keys() != set(itertools.combinations(range(n), size)):
+            return False
         for subset, perm in self.transporters.items():
             if not group.contains(perm):
                 return False
@@ -89,23 +96,9 @@ class TuplePair:
         )
 
 
-class SubtupleResult:
-    """Boolean-like result carrying certificates or the failing subset."""
-
-    def __init__(self, complete, certificates, failing_subset=None):
-        self.complete = complete
-        self.certificates = certificates
-        self.failing_subset = failing_subset
-
-    def __bool__(self):
-        return self.complete
-
-
-def subtuple_complete(group, I, J, k) -> SubtupleResult:
-    """Does every k-subset of positions admit a transporter I|S -> J|S?
-
-    Certificates are recorded per subset.
-    """
+def subtuple_complete(group, I, J, k):
+    """The transporters I|S -> J|S, one per k-subset S of positions, or
+    None when some subset has none."""
     I = tuple(I)
     J = tuple(J)
     if len(I) != len(J):
@@ -119,9 +112,9 @@ def subtuple_complete(group, I, J, k) -> SubtupleResult:
         dst = tuple(J[i] for i in subset)
         g = group.transporter(src, dst)
         if g is None:
-            return SubtupleResult(False, certificates, failing_subset=subset)
+            return None
         certificates[subset] = g
-    return SubtupleResult(True, certificates)
+    return certificates
 
 
 def orbit_equivalent(group, I, J) -> bool:

@@ -16,8 +16,9 @@ from functools import cached_property
 from operator import itemgetter
 
 from .errors import ArityTooLarge, CapExceeded, ParseError, TooLarge, VertexOutOfRange
-from .group import PermutationGroup, orbits_under, tuple_image, tuple_orbits
+from .group import PermutationGroup, _json_int, _json_list, orbits_under, tuple_image, tuple_orbits
 from .perm import Permutation
+from .relcomp import relational_complexity
 
 HOMOGENEITY_VERTEX_CAP = 10
 STRUCTURAL_RC_DEGREE_CAP = 8
@@ -88,18 +89,6 @@ class RelationalStructure:
                 _json_int(v, "a vertex")
             parsed.append((_json_int(rel["arity"], "an arity"), tuples))
         return RelationalStructure.build(vertices, parsed)
-
-
-def _json_int(value, what):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParseError(f"{what} must be an integer, not {value!r}")
-    return value
-
-
-def _json_list(value, what):
-    if not isinstance(value, list):
-        raise ParseError(f"{what} must be a list, not {value!r}")
-    return value
 
 
 def load_structure(path) -> RelationalStructure:
@@ -304,8 +293,6 @@ def structural_rc(group):
     Raises CapExceeded (carrying the tuple value) when the answer exceeds
     the arity cap.
     """
-    from .relcomp import relational_complexity
-
     if group.degree > STRUCTURAL_RC_DEGREE_CAP:
         raise TooLarge(f"structural RC capped at degree {STRUCTURAL_RC_DEGREE_CAP}")
     for s in range(2, STRUCTURAL_RC_ARITY_CAP + 1):

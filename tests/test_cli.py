@@ -13,6 +13,7 @@ from relkit import catalog as cat, cli, nonbinary, structures
 from relkit.cli import main
 from relkit.digraphs import sporadic_h0
 from relkit.group import dump_group
+from relkit.relcomp import TuplePair
 from relkit.structures import automorphism_group
 
 
@@ -49,6 +50,27 @@ def test_rc_command(capsys, agl15_file):
     data = json.loads(out)
     assert data["rc"] == 3
     assert data["witness"]["equivalent"] is False
+
+
+def test_rc_witness_needs_every_transporter_after_a_round_trip(capsys, tmp_path):
+    checked = 0
+    for i, entry in enumerate(cat.default_entries()):
+        group = entry.group
+        if group.degree > 15:
+            continue
+        path = tmp_path / f"group{i}.json"
+        dump_group(group, path)
+        _, out = run(capsys, "rc", str(path), "--format=json")
+        witness = json.loads(out)["witness"]
+        if witness is None:
+            continue
+        assert TuplePair.from_json(witness, group.degree).verify(group)
+        for key in witness["certs"]:
+            certs = {k: v for k, v in witness["certs"].items() if k != key}
+            cut = TuplePair.from_json({**witness, "certs": certs}, group.degree)
+            assert not cut.verify(group), (entry.label, key)
+        checked += 1
+    assert checked
 
 
 def test_rc_deterministic_output(capsys, agl15_file):
@@ -300,6 +322,24 @@ def test_parse_error_exit_code(capsys, tmp_path):
     missing_field = tmp_path / "missing.json"
     missing_field.write_text('{"foo": 1}')
     assert main(["stats", str(missing_field)]) == 2
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"degree": 2, "generator_images": [[1.0, 0.0]]}, "an image point must be an integer, not 1.0"),
+    ({"degree": True, "generator_images": [[0]]}, "'degree' must be an integer, not True"),
+    ({"degree": 3, "generators": [5]}, "a generator must be a cycle string, not 5"),
+    ({"degree": 3, "generators": "(1 2)"}, "'generators' must be a list, not '(1 2)'"),
+    ({"degree": 3, "generator_images": [5]}, "a generator's images must be a list, not 5"),
+], ids=["float-images", "boolean-degree", "generator-not-a-string", "generators-not-a-list",
+        "images-not-a-list"])
+def test_group_file_with_wrong_json_types_is_a_parse_error(capsys, tmp_path, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code = main(["stats", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_internal_inconsistency_exit_code(capsys, s4_file, monkeypatch):

@@ -761,6 +761,35 @@ def test_battery_handles_inapplicable():
             assert rc > 2
 
 
+def test_battery_witness_pairs_need_every_recorded_transporter():
+    checked = 0
+    for entry in cat.default_entries():
+        group = entry.group
+        if group.degree > 15:
+            continue
+        for outcome in run_battery(group, stop_at_first=False):
+            pair = getattr(outcome.certificate, "pair", None)
+            if not outcome.not_binary or pair is None:
+                continue
+            assert outcome.verify(group)
+            for subset in pair.transporters:
+                rest = {s: g for s, g in pair.transporters.items() if s != subset}
+                cut = dataclasses.replace(pair, transporters=rest)
+                certificate = dataclasses.replace(outcome.certificate, pair=cut)
+                assert not certificate.verify(group), (entry.label, outcome.test_name, subset)
+            checked += 1
+    assert checked
+
+
+def test_complete_pair_refuses_equivalent_tuples():
+    I, J = (0, 1, 2), (1, 0, 2)
+    # both groups are 2-transitive; only Sym(4) maps I onto J
+    assert nb._complete_pair(cat.symmetric_natural(4).group, I, J, 2) is None
+    alt4 = cat.alternating_natural(4).group
+    pair = nb._complete_pair(alt4, I, J, 2)
+    assert pair is not None and nb.WitnessPairCertificate(pair).verify(alt4)
+
+
 # -- orbital colorings -------------------------------------------------------------------
 
 def test_orbital_coloring_invariant():

@@ -70,7 +70,7 @@ def test_subtuple_certificates_check_out():
     J = (1, 0, 2)
     result = subtuple_complete(g, I, J, 2)
     assert result
-    for subset, perm in result.certificates.items():
+    for subset, perm in result.items():
         for i in subset:
             assert perm(I[i]) == J[i]
 
@@ -181,6 +181,28 @@ def test_verify_rejects_transporters_outside_the_group():
     sym_pair = TuplePair(I=pair.I, J=pair.J, completeness_level=2,
                          transporters=pair.transporters, equivalent=True)
     assert sym_pair.verify(cat.symmetric_natural(5).group)
+
+
+def test_verify_needs_a_transporter_for_every_subset():
+    # the same C5 pair with no transporters: none is wrong, but no 2-subset
+    # of positions is covered, and the pair is not 2-subtuple complete
+    c5 = cat.cyclic_regular(5).group
+    pair = TuplePair(I=(0, 1, 3), J=(0, 2, 3), completeness_level=2, transporters={})
+    assert not pair.verify(c5)
+    data = {"I": [0, 1, 3], "J": [0, 2, 3], "k": 2, "equivalent": False}
+    assert not TuplePair.from_json(data, 5).verify(c5)
+    # a certificate read from JSON can be malformed in shape, too
+    assert not TuplePair.from_json({**data, "J": [0, 2]}, 5).verify(c5)
+    assert not TuplePair.from_json({**data, "k": 0, "certs": {"[]": "()"}}, 5).verify(c5)
+
+
+def test_verify_covers_the_whole_tuple_when_k_exceeds_its_length():
+    g = cat.symmetric_natural(4).group
+    I = (0, 1, 2)
+    transporters = subtuple_complete(g, I, I, 5)
+    assert list(transporters) == [(0, 1, 2)]
+    assert TuplePair(I=I, J=I, completeness_level=5, transporters=transporters,
+                     equivalent=True).verify(g)
 
 
 def _transporter_calls_and_budget(monkeypatch, group):
