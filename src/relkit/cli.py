@@ -194,15 +194,9 @@ def _scalar(value):
 # -- subcommands -------------------------------------------------------------
 
 
-def _rc_caps(args):
-    if args.force_caps:
-        return {"degree_cap": 10**5, "order_cap": 10**12}
-    return {}
-
-
 def cmd_stats(args) -> int:
     group = load_group(args.group_file)
-    report = compute_statistics(group, rc_caps=_rc_caps(args))
+    report = compute_statistics(group, force_caps=args.force_caps)
     emit(args, report.to_json())
     if args.strict and report.skipped:
         return 3
@@ -211,7 +205,7 @@ def cmd_stats(args) -> int:
 
 def cmd_rc(args) -> int:
     group = load_group(args.group_file)
-    rc, witness = relational_complexity(group, **_rc_caps(args))
+    rc, witness = relational_complexity(group, force_caps=args.force_caps)
     model = {"degree": group.degree, "order": group.order(), "rc": rc,
              "witness": witness.to_json() if witness else None}
     emit(args, model)

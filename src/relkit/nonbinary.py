@@ -74,8 +74,11 @@ class TestOutcome:
         }
 
     def verify(self, group) -> bool:
+        """Re-check the certificate.  Inconclusive claims nothing and
+        passes; a NotBinary verdict without a certificate cannot be
+        re-checked and fails."""
         if self.certificate is None:
-            return True
+            return not self.not_binary
         return self.certificate.verify(group)
 
 

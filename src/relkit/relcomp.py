@@ -32,6 +32,7 @@ from .search import StabilizerLattice, canonical_prefixes
 
 RC_DEGREE_CAP = 120
 RC_ORDER_CAP = 10**7
+RC_FORCED_ORDER_CAP = 10**12
 
 
 @dataclass
@@ -119,10 +120,6 @@ def subtuple_complete(group, I, J, k):
 
 def orbit_equivalent(group, I, J) -> bool:
     """Is there g in G with I^g = J (full tuples)?"""
-    I = tuple(I)
-    J = tuple(J)
-    if len(I) != len(J):
-        raise LengthMismatch(f"|I|={len(I)} != |J|={len(J)}")
     return group.transporter(I, J) is not None
 
 
@@ -200,18 +197,20 @@ def witness_pair(group, prefix, hit) -> TuplePair:
                      completeness_level=m, transporters=transporters)
 
 
-def check_rc_caps(group, degree_cap=RC_DEGREE_CAP, order_cap=RC_ORDER_CAP):
-    if group.degree > degree_cap:
-        raise DegreeTooLarge(f"degree {group.degree} exceeds cap {degree_cap}")
-    if group.order() > order_cap:
-        raise GroupTooLarge(f"order {group.order()} exceeds cap {order_cap}")
+def check_rc_caps(group, force_caps=False):
+    """RC's caps, read when called.  force_caps drops the degree check
+    (group.DEGREE_CAP already bounds every group) and lifts the order cap
+    to RC_FORCED_ORDER_CAP."""
+    if not force_caps and group.degree > RC_DEGREE_CAP:
+        raise DegreeTooLarge(f"degree {group.degree} exceeds cap {RC_DEGREE_CAP}")
+    cap = RC_FORCED_ORDER_CAP if force_caps else RC_ORDER_CAP
+    if group.order() > cap:
+        raise GroupTooLarge(f"order {group.order()} exceeds cap {cap}")
 
 
-def relational_complexity(group, degree_cap=RC_DEGREE_CAP, order_cap=RC_ORDER_CAP):
+def relational_complexity(group, force_caps=False):
     """Exact RC with a maximal witness pair, or (2, None) for binary actions."""
-    check_rc_caps(group, degree_cap, order_cap)
-    if group.degree < 2 or group.is_trivial():
-        return 2, None
+    check_rc_caps(group, force_caps)
     lattice = StabilizerLattice(group)
     search = WitnessSearch(lattice)
     for node in canonical_prefixes(lattice, prune=search.prune):

@@ -41,14 +41,14 @@ STATS_DEGREE_CAP = 120
 
 @dataclass
 class BaseHeightProfile:
-    min_base: int
-    min_base_witness: tuple
-    max_minimal_base: int
-    max_minimal_base_witness: tuple
-    height: int
-    height_witness: tuple
-    max_irredundant: int
-    max_irredundant_witness: tuple
+    b: int
+    b_witness: tuple
+    B: int
+    B_witness: tuple
+    H: int
+    H_witness: tuple
+    I: int
+    I_witness: tuple
 
 
 class ProfileSearch:
@@ -95,7 +95,7 @@ def base_height_profile(group: PermutationGroup):
 def height(group):
     """Maximum size of an independent set, with a witness set."""
     profile = base_height_profile(group)
-    return profile.height, profile.height_witness
+    return profile.H, profile.H_witness
 
 
 @dataclass
@@ -136,16 +136,17 @@ class StatisticsReport:
         return out
 
 
-def profile_and_rc(group: PermutationGroup, rc_caps=None):
-    """b/B/H/I and RC from one unpruned walk: (profile, rc, rc_witness,
-    skipped).  Past RC's caps, rc and rc_witness are None and skipped["rc"]
-    says why."""
+def compute_statistics(group: PermutationGroup, force_caps=False) -> StatisticsReport:
+    """Assemble the full report from one walk; RC is reported as skipped
+    beyond its caps (see check_rc_caps for force_caps)."""
+    if group.degree > STATS_DEGREE_CAP:
+        raise DegreeTooLarge(f"degree {group.degree} exceeds cap {STATS_DEGREE_CAP}")
     lattice = StabilizerLattice(group)
     profile = ProfileSearch(lattice)
     witness_search = None
     skipped = {}
     try:
-        check_rc_caps(group, **(rc_caps or {}))
+        check_rc_caps(group, force_caps)
         witness_search = WitnessSearch(lattice)
     except (DegreeTooLarge, GroupTooLarge) as exc:
         skipped["rc"] = f"skipped(cap): {exc}"
@@ -154,34 +155,15 @@ def profile_and_rc(group: PermutationGroup, rc_caps=None):
             witness_search.visit(*node)
         profile.visit(*node)
     rc, rc_witness = witness_search.result() if witness_search is not None else (None, None)
-    return profile.result(), rc, rc_witness, skipped
-
-
-def compute_statistics(group: PermutationGroup, rc_caps=None) -> StatisticsReport:
-    """Assemble the full report from one walk; RC is reported as skipped
-    beyond its caps."""
-    if group.degree > STATS_DEGREE_CAP:
-        raise DegreeTooLarge(f"degree {group.degree} exceeds cap {STATS_DEGREE_CAP}")
-    profile, rc, rc_witness, skipped = profile_and_rc(group, rc_caps)
     transitive = group.is_transitive()
-    primitive = None
-    if transitive:
-        primitive, _ = group.is_primitive()
     report = StatisticsReport(
         order=group.order(),
         degree=group.degree,
         transitive=transitive,
-        primitive=primitive,
+        primitive=group.is_primitive()[0] if transitive else None,
         rc=rc,
         rc_witness=rc_witness,
-        b=profile.min_base,
-        b_witness=profile.min_base_witness,
-        B=profile.max_minimal_base,
-        B_witness=profile.max_minimal_base_witness,
-        H=profile.height,
-        H_witness=profile.height_witness,
-        I=profile.max_irredundant,
-        I_witness=profile.max_irredundant_witness,
+        **vars(profile.result()),
         skipped=skipped,
     )
     _check_chain(report)

@@ -38,7 +38,7 @@ from .nonbinary import (
 from .oracle import NAIVE_MAX_DEGREE, naive_relational_complexity
 from .perm import Permutation
 from .relcomp import relational_complexity
-from .stats import base_height_profile, profile_and_rc
+from .stats import base_height_profile
 from .structures import automorphism_group, canonical_structure, is_homogeneous, structural_rc
 
 
@@ -131,14 +131,10 @@ def criterion_stat_chain():
         t = entry.group.degree
         if t > 30:
             continue
-        profile, rc, _, _ = profile_and_rc(entry.group)
-        bound = profile.min_base * max(1, math.ceil(math.log2(t))) if t > 1 else 0
-        chain_ok = (profile.min_base <= profile.max_minimal_base
-                    <= profile.height <= profile.max_irredundant <= bound)
-        _check(checks, f"chain {entry.label}", True, chain_ok)
-        # rc is None only past RC's caps, which no entry of degree <= 30 reaches
-        _check(checks, f"RC<=H+1 {entry.label}", True,
-               rc is not None and rc <= profile.height + 1)
+        p = base_height_profile(entry.group)
+        bound = p.b * max(1, math.ceil(math.log2(t))) if t > 1 else 0
+        _check(checks, f"chain {entry.label}", True, p.b <= p.B <= p.H <= p.I <= bound)
+        _check(checks, f"RC<=H+1 {entry.label}", True, _rc(entry.group) <= p.H + 1)
     return _result(checks)
 
 
@@ -155,7 +151,7 @@ def criterion_height_bound():
             continue
         profile = base_height_profile(entry.group)
         bound = 9 * math.log2(entry.group.degree) if entry.group.degree > 1 else 0
-        _check(checks, f"H({entry.label}) < 9log2(t)", True, profile.height < bound)
+        _check(checks, f"H({entry.label}) < 9log2(t)", True, profile.H < bound)
     return _result(checks)
 
 

@@ -182,6 +182,21 @@ def test_tests_zero_trials_is_valid(capsys, s4_file):
     ]
 
 
+def test_tests_beautiful_prints_a_checkable_certificate(capsys, tmp_path):
+    group = cat.psl2_projective(7).group
+    path = tmp_path / "psl27.json"
+    dump_group(group, path)
+    code, out = run(capsys, "tests", str(path), "--test", "beautiful",
+                    "--lambda", "1,2,3,4,5,6,7,8", "--format=json")
+    assert code == 0
+    [outcome] = json.loads(out)
+    certificate = outcome["certificate"]
+    assert certificate["kind"] == "beautiful_subset"
+    assert certificate["subset"] == list(range(8))
+    assert certificate["induced_order"] == 168
+    assert TuplePair.from_json(certificate["pair"], group.degree).verify(group)
+
+
 def test_tests_beautiful_requires_lambda(capsys, s4_file):
     code = main(["tests", s4_file, "--test=beautiful"])
     assert code == 2

@@ -533,6 +533,8 @@ def test_frobenius_counting_path():
     assert out.not_binary
     assert out.details == {"path": "counting", "complement_order": 8, "orbit_size": 9,
                            "min_two_point_stabilizer": 6, "pigeonhole": 6}
+    # no certificate: the verdict cannot be re-checked
+    assert not out.verify(g)
 
 
 def test_frobenius_subgroup_requires_normal():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relkit import catalog as cat, relcomp
-from relkit.errors import LengthMismatch, NotTransitive
+from relkit.errors import DegreeTooLarge, GroupTooLarge, LengthMismatch, NotTransitive
 from relkit.group import PermutationGroup
 from relkit.oracle import (
     literal_relational_complexity,
@@ -92,6 +92,15 @@ def test_orbit_equivalent_shift():
     assert orbit_equivalent(g, (0, 1), (1, 2))
 
 
+def test_bad_tuple_arguments_raise_length_mismatch():
+    # orbit_equivalent leaves the length check to group.transporter
+    g = cat.symmetric_natural(3).group
+    with pytest.raises(LengthMismatch, match=r"^\|I\|=2 != \|J\|=1$"):
+        orbit_equivalent(g, (0, 1), (0,))
+    with pytest.raises(LengthMismatch, match="completeness level must be >= 1"):
+        subtuple_complete(g, (0, 1), (1, 0), 0)
+
+
 # -- exact RC ----------------------------------------------------------------------
 
 RC_CASES = [
@@ -123,6 +132,17 @@ def test_is_binary():
 def test_rc_trivial_degenerate():
     trivial = PermutationGroup(3, [])
     assert relational_complexity(trivial) == (2, None)
+
+
+def test_force_caps_reads_the_forced_order_cap(monkeypatch):
+    g = cat.k_subsets_action("Sym", 6, 2).group
+    monkeypatch.setattr(relcomp, "RC_DEGREE_CAP", 10)
+    with pytest.raises(DegreeTooLarge, match="^degree 15 exceeds cap 10$"):
+        relational_complexity(g)
+    assert relational_complexity(g, force_caps=True)[0] == 3
+    monkeypatch.setattr(relcomp, "RC_FORCED_ORDER_CAP", 719)
+    with pytest.raises(GroupTooLarge, match="^order 720 exceeds cap 719$"):
+        relational_complexity(g, force_caps=True)
 
 
 def test_rc_witness_structure():
@@ -285,16 +305,14 @@ def test_rc_and_statistics_match_oracles_on_random_subgroups(case):
     group = PermutationGroup(degree, gens)
     assert relational_complexity(group)[0] == naive_relational_complexity(group)
     profile = base_height_profile(group)
-    assert (profile.min_base, profile.max_minimal_base, profile.height,
-            profile.max_irredundant) == naive_base_statistics(group)
+    assert (profile.b, profile.B, profile.H, profile.I) == naive_base_statistics(group)
 
 
 @pytest.mark.parametrize("label,builder", ORACLE_GROUPS, ids=[c[0] for c in ORACLE_GROUPS])
 def test_statistics_match_naive_oracle(label, builder):
     group = builder()
     profile = base_height_profile(group)
-    assert (profile.min_base, profile.max_minimal_base, profile.height,
-            profile.max_irredundant) == naive_base_statistics(group)
+    assert (profile.b, profile.B, profile.H, profile.I) == naive_base_statistics(group)
 
 
 def test_naive_statistics_by_hand():
@@ -335,24 +353,24 @@ def test_suborbit_bound_needs_transitive():
 
 def test_profile_sym4():
     p = base_height_profile(cat.symmetric_natural(4).group)
-    assert (p.min_base, p.max_minimal_base, p.height, p.max_irredundant) == (3, 3, 3, 3)
+    assert (p.b, p.B, p.H, p.I) == (3, 3, 3, 3)
 
 
 def test_profile_regular():
     p = base_height_profile(cat.cyclic_regular(5).group)
-    assert (p.min_base, p.max_minimal_base, p.height, p.max_irredundant) == (1, 1, 1, 1)
+    assert (p.b, p.B, p.H, p.I) == (1, 1, 1, 1)
 
 
 def test_profile_product_22():
     p = base_height_profile(cat.product_action(2, 2).group)
-    assert p.height == 2  # frozen: subset brute force
-    assert p.min_base == 2
+    assert p.H == 2  # frozen: subset brute force
+    assert p.b == 2
 
 
 def test_profile_d8():
     p = base_height_profile(cat.dihedral_polygon(4).group)
-    assert p.min_base == 2  # frozen: brute force
-    assert p.max_irredundant == 2
+    assert p.b == 2  # frozen: brute force
+    assert p.I == 2
 
 
 def test_height_regular_iff_one():
@@ -366,11 +384,11 @@ def test_profile_witnesses_valid():
                   cat.alternating_natural(5), cat.intransitive_join(3)]:
         g = entry.group
         p = base_height_profile(g)
-        assert g.pointwise_stabilizer_order(p.min_base_witness) == 1
-        assert g.pointwise_stabilizer_order(p.max_irredundant_witness) == 1
-        full = g.pointwise_stabilizer_order(p.height_witness)
-        for x in p.height_witness:
-            others = [y for y in p.height_witness if y != x]
+        assert g.pointwise_stabilizer_order(p.b_witness) == 1
+        assert g.pointwise_stabilizer_order(p.I_witness) == 1
+        full = g.pointwise_stabilizer_order(p.H_witness)
+        for x in p.H_witness:
+            others = [y for y in p.H_witness if y != x]
             assert g.pointwise_stabilizer_order(others) > full
 
 
@@ -388,15 +406,16 @@ def test_statistics_chain_on_catalog_sample():
                   cat.intransitive_join(4)]:
         t = entry.group.degree
         p = base_height_profile(entry.group)
-        bound = p.min_base * max(1, math.ceil(math.log2(t)))
-        assert p.min_base <= p.max_minimal_base <= p.height <= p.max_irredundant <= bound
+        bound = p.b * max(1, math.ceil(math.log2(t)))
+        assert p.b <= p.B <= p.H <= p.I <= bound
         rc, _ = relational_complexity(entry.group)
-        assert rc <= p.height + 1
+        assert rc <= p.H + 1
 
 
-def test_statistics_cap_skip():
+def test_statistics_cap_skip(monkeypatch):
     g = cat.k_subsets_action("Sym", 6, 2).group
-    report = compute_statistics(g, rc_caps={"degree_cap": 10})
+    monkeypatch.setattr(relcomp, "RC_DEGREE_CAP", 10)
+    report = compute_statistics(g)
     assert report.rc is None
     assert "skipped(cap)" in report.skipped["rc"]
     assert "skipped(cap)" in report.to_json()["rc"]

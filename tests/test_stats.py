@@ -17,13 +17,13 @@ from test_chain import subgroups_with_points
 from test_search import PSL25
 
 
-def two_walk_report(group, rc_caps=None):
+def two_walk_report(group):
     """The report as the separate walks give it, in to_json() form."""
     profile = base_height_profile(group)
     skipped = {}
     rc, witness = None, None
     try:
-        rc, witness = relational_complexity(group, **(rc_caps or {}))
+        rc, witness = relational_complexity(group)
     except (DegreeTooLarge, GroupTooLarge) as exc:
         skipped["rc"] = f"skipped(cap): {exc}"
     transitive = group.is_transitive()
@@ -34,23 +34,16 @@ def two_walk_report(group, rc_caps=None):
         primitive=group.is_primitive()[0] if transitive else None,
         rc=rc,
         rc_witness=witness,
-        b=profile.min_base,
-        b_witness=profile.min_base_witness,
-        B=profile.max_minimal_base,
-        B_witness=profile.max_minimal_base_witness,
-        H=profile.height,
-        H_witness=profile.height_witness,
-        I=profile.max_irredundant,
-        I_witness=profile.max_irredundant_witness,
+        **vars(profile),
         skipped=skipped,
     ).to_json()
 
 
-def assert_one_walk_matches(group, rc_caps=None):
-    got = compute_statistics(group, rc_caps=rc_caps).to_json()
+def assert_one_walk_matches(group):
+    got = compute_statistics(group).to_json()
     # a fresh copy: the first run must not warm the second one's caches
     fresh = PermutationGroup(group.degree, group.generators)
-    assert got == two_walk_report(fresh, rc_caps)
+    assert got == two_walk_report(fresh)
     return got
 
 
@@ -99,10 +92,11 @@ def test_rc_checks_the_nodes_its_pruned_walk_checks(case):
 @pytest.mark.parametrize("entry", [cat.k_subsets_action("Sym", 6, 2),
                                    cat.psl2_projective(7), cat.intransitive_join(4)],
                          ids=lambda e: e.label)
-def test_rc_over_its_cap_leaves_the_statistics(entry):
+def test_rc_over_its_cap_leaves_the_statistics(entry, monkeypatch):
     group = entry.group
-    caps = {"order_cap": group.order() - 1}
-    got = assert_one_walk_matches(group, caps)
+    with monkeypatch.context() as patch:
+        patch.setattr(relcomp, "RC_ORDER_CAP", group.order() - 1)
+        got = assert_one_walk_matches(group)
     assert got["rc"].startswith("skipped(cap): order ")
     assert got["rc_witness"] is None
     uncapped = compute_statistics(group).to_json()
@@ -116,6 +110,7 @@ def test_trivial_group(degree):
     assert (got["rc"], got["rc_witness"], got["b"], got["I"]) == (2, None, 0, 0)
 
 
-def test_trivial_group_over_the_rc_degree_cap():
-    got = assert_one_walk_matches(PermutationGroup(5, []), {"degree_cap": 3})
+def test_trivial_group_over_the_rc_degree_cap(monkeypatch):
+    monkeypatch.setattr(relcomp, "RC_DEGREE_CAP", 3)
+    got = assert_one_walk_matches(PermutationGroup(5, []))
     assert got["rc"] == "skipped(cap): degree 5 exceeds cap 3"
