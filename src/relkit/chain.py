@@ -251,14 +251,20 @@ class StabilizerChain:
         return [level.point] + sorted(b for b in level.transversal if b != level.point)
 
     def elements(self):
-        """Iterate all group elements in canonical enumeration order.
+        """Iterate all group elements in canonical enumeration order, as
+        Permutations wrapped around element_images()."""
+        return map(_trusted, self.element_images())
+
+    def element_images(self):
+        """Iterate the image tuples of all group elements in canonical
+        enumeration order.
 
         An element is u_last * ... * u_0, one transversal element per
         level, with the deepest level varying slowest.  Products are
-        composed as image tuples; only the yielded element is wrapped.
+        composed as image tuples and never wrapped.
         """
         if not self._levels:
-            yield Permutation.identity(self.degree)
+            yield self._identity
             return
         reps = [
             [self._levels[i].transversal[b].images for b in self._level_order(i)]
@@ -278,4 +284,4 @@ class StabilizerChain:
         partials = outer(len(reps) - 1, None) if len(reps) > 1 else (self._identity,)
         for acc in partials:
             for u in first:
-                yield _trusted(tuple(map(u.__getitem__, acc)))
+                yield tuple(map(u.__getitem__, acc))

@@ -195,6 +195,10 @@ class PermutationGroup:
     def elements(self):
         yield from self.chain.elements()
 
+    def element_images(self):
+        """The image tuples of elements(), in the same order."""
+        return self.chain.element_images()
+
     # -- transporters and stabilizers -------------------------------------
 
     def transporter(self, src, dst) -> Permutation | None:

@@ -29,7 +29,13 @@ from .errors import (
     AbelianInput,
 )
 from .group import PermutationGroup, orbits_under, tuple_image
-from .perm import Permutation, format_permutation
+from .perm import (
+    Permutation,
+    _trusted,
+    fixed_count,
+    fixed_count_and_order,
+    format_permutation,
+)
 from .relcomp import (
     TuplePair,
     _witness_at_prefix,
@@ -202,10 +208,8 @@ class PrimeConfigCertificate:
             if not len(fix_v) < len(fix_g):
                 return False
             # maximality of |Fix(g)| among p-elements
-            max_fix = max(
-                (len(x.fixed_points()) for x in _elements(group) if x.order() == p),
-                default=0,
-            )
+            walks = map(fixed_count_and_order, _element_images(group))
+            max_fix = max((f for f, order in walks if order == p), default=0)
             return len(fix_g) == max_fix
         return False
 
@@ -244,23 +248,25 @@ class BeautifulSubsetCertificate:
 # -- shared helpers -----------------------------------------------------
 
 
-def _elements(group):
+def _element_images(group):
     if group.order() > ELEMENT_ENUM_CAP:
         raise GroupTooLarge(f"element enumeration capped at {ELEMENT_ENUM_CAP}")
-    return group.elements()
+    return group.element_images()
 
 
 class _ElementCensus:
-    """Facts about a group's elements from one pass, taken on first demand:
-    the histogram of fixed-point counts (test 1), and, when |G| is at most
-    TEST5_EXHAUSTIVE_CAP, the elements of each prime order in enumeration
-    order (test 5; primes=None means every prime dividing |G|).
+    """Facts about a group's elements from one pass over their image
+    tuples, taken on first demand: the histogram of fixed-point counts
+    (test 1), and, when |G| is at most TEST5_EXHAUSTIVE_CAP, for each
+    prime q the image tuples of the elements of order q in enumeration
+    order, with their largest fixed-point count (test 5; primes=None means
+    every prime dividing |G|).  Each element costs one cycle walk, or,
+    with no prime to sort by, one count of its fixed points.
     run_battery hands one census to both tests when it runs both without
     stopping early."""
 
-    def __init__(self, group, fixed_counts=True, primes=None):
+    def __init__(self, group, primes=None):
         self._group = group
-        self._fixed_counts = fixed_counts
         self._primes = primes
         self._facts = None
 
@@ -269,21 +275,29 @@ class _ElementCensus:
             order = self._group.order()
             primes = _prime_divisors(order) if self._primes is None else self._primes
             by_prime = {q: [] for q in primes} if order <= TEST5_EXHAUSTIVE_CAP else {}
-            fixed = Counter()
-            for g in self._group.elements():
-                if self._fixed_counts:
-                    fixed[len(g.fixed_points())] += 1
-                if by_prime:
-                    found = by_prime.get(g.order())
+            max_fix = dict.fromkeys(by_prime, 0)
+            images = self._group.element_images()
+            if not by_prime:
+                fixed = Counter(map(fixed_count, images))
+            else:
+                fixed = Counter()
+                for g in images:
+                    f, o = fixed_count_and_order(g)
+                    fixed[f] += 1
+                    found = by_prime.get(o)
                     if found is not None:
                         found.append(g)
-            self._facts = fixed, by_prime
+                        if f > max_fix[o]:
+                            max_fix[o] = f
+            self._facts = fixed, {q: (by_prime[q], max_fix[q]) for q in by_prime}
         return self._facts
 
     def fixed_counts(self) -> Counter:
         return self._take()[0]
 
     def prime_order_elements(self) -> dict:
+        """q -> (image tuples of the elements of order q, their largest
+        fixed-point count)."""
         return self._take()[1]
 
 
@@ -465,8 +479,8 @@ def test5_special_primes(group, p=None, _census=None) -> TestOutcome:
     Tries p, or else every prime dividing |G| in ascending order, and
     stops at the first NotBinary; otherwise the last prime's outcome
     stands.  Up to TEST5_EXHAUSTIVE_CAP one pass over the elements
-    collects the elements of each prime order, in enumeration order; above
-    it the p-elements are sampled.
+    collects the elements of each prime order, in enumeration order, with
+    their largest fixed-point count; above it the p-elements are sampled.
     """
     if p is not None and _prime_divisors(p) != [p]:
         raise BadParameter(f"{p} is not a prime")
@@ -480,11 +494,11 @@ def test5_special_primes(group, p=None, _census=None) -> TestOutcome:
         raise PrimeDoesNotDivide(f"{p} does not divide the group order {order}")
     exhaustive = order <= TEST5_EXHAUSTIVE_CAP
     if exhaustive:
-        census = _census or _ElementCensus(group, fixed_counts=False, primes=primes)
+        census = _census or _ElementCensus(group, primes=primes)
         p_elements = census.prime_order_elements()
     for q in primes:
         if exhaustive:
-            outcome = _test5_scan(group, q, p_elements[q])
+            outcome = _test5_scan(group, q, *p_elements[q])
         else:
             outcome = _test5_sampled(group, q)
         if outcome.not_binary:
@@ -492,22 +506,26 @@ def test5_special_primes(group, p=None, _census=None) -> TestOutcome:
     return outcome
 
 
-def _test5_scan(group, p, p_elements, allow_fixed_point_drop=True) -> TestOutcome:
+def _conjugate(x, c):
+    """s^-1 x s for c = (s^-1, s) as image tuples: i goes to s[x[s^-1[i]]]."""
+    return tuple_image(tuple_image(c[0], x), c[1])
+
+
+def _test5_scan(group, p, domain, max_fix=None) -> TestOutcome:
+    """Both rules over the image tuples of elements of order p.  Rule 2
+    (fixed_point_drop) needs max_fix, the largest fixed-point count of all
+    p-elements of the group; without it only rule 1 runs."""
     degree = group.degree
     stab_order = group.order() // degree  # the group is transitive
     rule1_applicable = (
         degree % p == 0 and stab_order % p == 0 and stab_order % (p * p) != 0
     )
-    max_fix = max((len(g.fixed_points()) for g in p_elements), default=0)
-    # conjugation classes of p-elements, grown under the generators on
-    # image tuples: s^-1 x s sends i to s[x[s^-1[i]]]
+    # conjugation classes of p-elements, grown under the generators
     conjugators = [(s.inverse().images, s.images) for s in group.generators]
     class_of = {}
     reps = []
-    domain = [g.images for g in p_elements]
-    for g, orbit in orbits_under(domain, conjugators,
-                                 lambda x, c: tuple_image(tuple_image(c[0], x), c[1])):
-        reps.append(Permutation(g))
+    for g, orbit in orbits_under(domain, conjugators, _conjugate):
+        reps.append(_trusted(g))
         for x in orbit:
             class_of[x] = g
     for g in reps:
@@ -516,13 +534,13 @@ def _test5_scan(group, p, p_elements, allow_fixed_point_drop=True) -> TestOutcom
         powers = {(g ** i).images for i in range(p)}
         # h commutes with g when h[g[i]] == g[h[i]] for every i
         commuting = [
-            h
-            for h, hi in zip(p_elements, domain)
+            hi for hi in domain
             if tuple_image(gi, hi) == tuple_image(hi, gi) and hi not in powers
         ]
         if rule1_applicable and fix_g:
             alpha = min(fix_g)
-            for h in commuting:
+            for hi in commuting:
+                h = _trusted(hi)
                 if (
                     _cyclic_conjugate(group, g, h) is not None
                     and _cyclic_conjugate(group, g, g * h) is not None
@@ -531,10 +549,11 @@ def _test5_scan(group, p, p_elements, allow_fixed_point_drop=True) -> TestOutcom
                         rule="stabilizer_divisibility", p=p, g=g, h=h, alpha=alpha
                     )
                     return TestOutcome("test5", NOT_BINARY, cert)
-        if allow_fixed_point_drop and len(fix_g) == max_fix:
-            for h in commuting:
-                if class_of.get(h.images) != class_of.get(gi):
+        if max_fix is not None and len(fix_g) == max_fix:
+            for hi in commuting:
+                if class_of.get(hi) != class_of.get(gi):
                     continue
+                h = _trusted(hi)
                 if class_of.get((g * h.inverse()).images) != class_of.get(gi):
                     continue
                 fix_v = fix_g & set(h.fixed_points())
@@ -548,14 +567,14 @@ def _test5_sampled(group, p) -> TestOutcome:
     """Sampling fallback: p-elements from powers of random elements and
     random conjugates, closed into a p-subgroup until growth stops."""
     rng = random.Random(0)
-    base_count = len(group.chain.base)
+    chain = group.chain
+    levels = [(trans, sorted(trans))
+              for trans in map(chain.transversal, range(len(chain.base)))]
 
     def random_element():
         g = group.identity()
-        for i in range(base_count):
-            trans = group.chain.transversal(i)
-            pick = rng.choice(sorted(trans))
-            g = g * trans[pick]
+        for trans, points in levels:
+            g = g * trans[rng.choice(points)]
         return g
 
     def p_part(g):
@@ -585,10 +604,9 @@ def _test5_sampled(group, p) -> TestOutcome:
             if y not in seen:
                 seen.add(y)
                 pool.append(y)
-    # fixed-point maximality cannot be certified from a sample: rule 2 off
-    outcome = _test5_scan(
-        group, p, [x for x in pool if x.order() == p], allow_fixed_point_drop=False
-    )
+    # fixed-point maximality cannot be certified from a sample: no max_fix,
+    # so rule 2 is off
+    outcome = _test5_scan(group, p, [x.images for x in pool if x.order() == p])
     outcome.details["sampled"] = True
     return outcome
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from math import lcm
+from operator import eq
 
 from .errors import DegreeMismatch, MalformedSyntax, PointOutOfRange, RepeatedPoint
 
@@ -79,20 +80,7 @@ class Permutation:
 
     def order(self) -> int:
         """lcm of the cycle lengths, walked without building the cycles."""
-        images = self.images
-        seen = bytearray(len(images))
-        lengths = set()
-        for start, x in enumerate(images):
-            if seen[start] or x == start:
-                continue
-            length = 1
-            seen[start] = 1
-            while x != start:
-                seen[x] = 1
-                x = images[x]
-                length += 1
-            lengths.add(length)
-        return lcm(*lengths) if lengths else 1
+        return fixed_count_and_order(self.images)[1]
 
     def cycles(self):
         """Nontrivial cycles as tuples of 0-based points, each starting at its minimum."""
@@ -145,6 +133,32 @@ def _trusted(images: tuple) -> Permutation:
     perm = object.__new__(Permutation)
     perm.images = images
     return perm
+
+
+def fixed_count(images) -> int:
+    """Number of fixed points of the permutation with this image tuple."""
+    return sum(map(eq, images, range(len(images))))
+
+
+def fixed_count_and_order(images) -> tuple[int, int]:
+    """(fixed-point count, order) of the permutation with this image
+    tuple, from one walk over its cycles; the order is the lcm of the
+    cycle lengths."""
+    seen = [False] * len(images)
+    fixed = 0
+    order = 1
+    for start, x in enumerate(images):
+        if x == start:
+            fixed += 1
+        elif not seen[start]:
+            length = 1
+            while x != start:
+                seen[x] = True
+                x = images[x]
+                length += 1
+            if order % length:
+                order = lcm(order, length)
+    return fixed, order
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

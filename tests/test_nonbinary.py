@@ -2,13 +2,17 @@
 
 import dataclasses
 import itertools
+import json
 import math
+import pathlib
+from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from relkit import catalog as cat
 from relkit.chain import StabilizerChain
+from relkit.cli import main
 from relkit.closure import k_closure
 from relkit.errors import (
     AbelianInput,
@@ -21,7 +25,7 @@ from relkit.errors import (
     NotTransitive,
     PrimeDoesNotDivide,
 )
-from relkit.group import PermutationGroup
+from relkit.group import PermutationGroup, dump_group
 from relkit.oracle import mulclose
 from relkit import nonbinary as nb
 from relkit.nonbinary import (
@@ -33,9 +37,13 @@ from relkit.nonbinary import (
     run_battery,
     verify_snb_certificate,
 )
+from relkit import perm
 from relkit.perm import Permutation, parse_permutation
 from relkit.relcomp import relational_complexity
 from relkit.structures import automorphism_group, canonical_structure
+
+
+GOLDEN = pathlib.Path(__file__).with_name("golden")
 
 
 def G(degree, *cycles):
@@ -52,6 +60,39 @@ def counting(monkeypatch, cls, name):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(cls, name, wrapped)
+    return calls
+
+
+def _counting_passes(monkeypatch, group=None):
+    """Count passes over group elements from here on: calls of elements()
+    or element_images() on group itself, or on any group when group is
+    None."""
+    calls = [0]
+    for name in ("elements", "element_images"):
+        original = getattr(PermutationGroup, name)
+
+        def wrapped(self, original=original):
+            if group is None or self is group:
+                calls[0] += 1
+            return original(self)
+
+        monkeypatch.setattr(PermutationGroup, name, wrapped)
+    return calls
+
+
+def _counting_walks(monkeypatch, *modules):
+    """Count the cycle walks made through fixed_count_and_order as the
+    given modules see it, from here on: the census and certificate
+    checks in nonbinary, Permutation.order in perm."""
+    calls = [0]
+    original = perm.fixed_count_and_order
+
+    def wrapped(images):
+        calls[0] += 1
+        return original(images)
+
+    for module in modules:
+        monkeypatch.setattr(module, "fixed_count_and_order", wrapped)
     return calls
 
 
@@ -78,11 +119,14 @@ def test1_inconclusive_on_c5():
 
 
 def test1_enumerates_the_group_once(monkeypatch):
-    # every ell comes from one histogram of fixed-point counts
+    # every ell comes from one histogram of fixed-point counts, counted
+    # without walking any cycles
     g = cat.psl2_projective(11).group
-    calls = counting(monkeypatch, PermutationGroup, "elements")
+    passes = _counting_passes(monkeypatch)
+    walks = _counting_walks(monkeypatch, nb, perm)
     out = nb.test1_character_bound(g)
-    assert calls[0] == 1
+    assert passes[0] == 1
+    assert walks[0] == 0
     assert out.details["counts"] == {2: 1, 3: 2}  # 2-transitive, two triple orbits
 
 
@@ -103,10 +147,10 @@ def test1_fixed_point_sum_alone_past_the_tuple_budget(monkeypatch):
 
 def test1_tuples_alone_past_the_enumeration_cap(monkeypatch):
     g = cat.symmetric_natural(9).group  # order 362 880 > ELEMENT_ENUM_CAP
-    enumerations = counting(monkeypatch, PermutationGroup, "elements")
+    passes = _counting_passes(monkeypatch)
     out = nb.test1_character_bound(g)
     assert out.details["counts"] == {ell: 1 for ell in range(2, 6)}
-    assert enumerations[0] == 0
+    assert passes[0] == 0
     assert not out.not_binary
 
 
@@ -331,6 +375,55 @@ def test4_flags_subset_action():
     assert rc == 3
 
 
+# -- the element census ------------------------------------------------------
+
+
+def brute_census(group):
+    """The census by brute force: every element as a Permutation, its
+    fixed points listed and its order the lcm of its cycle type."""
+    elements = list(group.elements())
+    fixed = Counter(len(g.fixed_points()) for g in elements)
+    by_prime = {}
+    for q in nb._prime_divisors(group.order()):
+        kept = [g for g in elements if math.lcm(*g.cycle_type()) == q]
+        most = max((len(g.fixed_points()) for g in kept), default=0)
+        by_prime[q] = ([g.images for g in kept], most)
+    return fixed, by_prime
+
+
+def check_census(group):
+    fixed, by_prime = brute_census(group)
+    census = nb._ElementCensus(group)
+    assert census.fixed_counts() == fixed
+    assert census.prime_order_elements() == by_prime
+    alone = nb._ElementCensus(group, primes=())  # test 1's census
+    assert alone.fixed_counts() == fixed
+    assert alone.prime_order_elements() == {}
+    assert list(group.element_images()) == [g.images for g in group.elements()]
+
+
+@st.composite
+def small_groups(draw):
+    degree = draw(st.integers(1, 7))
+    pool = st.permutations(range(degree)).map(Permutation)
+    return PermutationGroup(degree, draw(st.lists(pool, min_size=1, max_size=3)))
+
+
+@given(small_groups())
+@settings(max_examples=150, deadline=None)
+def test_census_matches_bruteforce(group):
+    check_census(group)
+
+
+def test_census_matches_bruteforce_on_catalog_entries():
+    checked = 0
+    for entry in cat.default_entries():
+        if entry.group.order() <= 5_000:
+            check_census(entry.group)
+            checked += 1
+    assert checked >= 50
+
+
 # -- test 5 ------------------------------------------------------------------------
 
 def affine_3_2(matrices):
@@ -390,9 +483,11 @@ def test5_all_primes_matches_prime_by_prime(group):
 def test5_enumerates_the_group_once(monkeypatch):
     # psl2(11) has order 660 = 2^2 * 3 * 5 * 11: four primes, one pass
     g = cat.psl2_projective(11).group
-    calls = counting(monkeypatch, PermutationGroup, "elements")
+    passes = _counting_passes(monkeypatch)
+    walks = _counting_walks(monkeypatch, nb)
     out = nb.test5_special_primes(g)
-    assert calls[0] == 1
+    assert passes[0] == 1
+    assert walks[0] == 660  # one cycle walk per element
     assert out.details == {"p": 11}
 
 
@@ -447,6 +542,22 @@ def test5_wreath_consistent_with_oracle():
     if out.not_binary:
         rc, _ = relational_complexity(g)
         assert rc > 2
+
+
+@pytest.mark.parametrize("entry, rule", [
+    (("alternating_natural", "6"), "fixed_point_drop"),
+    (("psl2", "13"), "stabilizer_divisibility"),
+], ids=["alt6", "psl2_13"])
+def test5_tests_all_output_is_pinned(entry, rule, tmp_path, capsys):
+    # `tests --all --format=json`, byte for byte, on one entry for each
+    # test 5 rule; frozen under tests/golden/
+    path = tmp_path / "group.json"
+    dump_group(cat.build_entry(*entry).group, path)
+    assert main(["tests", str(path), "--all", "--format=json"]) == 0
+    text = capsys.readouterr().out
+    assert text == (GOLDEN / f"{'_'.join(entry)}.tests_all.json").read_text()
+    test5 = next(o for o in json.loads(text) if o["test"] == "test5")
+    assert test5["certificate"]["rule"] == rule
 
 
 # -- test 6 ------------------------------------------------------------------------
@@ -697,20 +808,6 @@ def test_battery_all_inconclusive_on_binary():
     assert not any(o.not_binary for o in outcomes)
 
 
-def _counting_elements(monkeypatch, group):
-    """Count elements() calls on group itself from here on."""
-    calls = [0]
-    elements = PermutationGroup.elements
-
-    def wrapped(self):
-        if self is group:
-            calls[0] += 1
-        return elements(self)
-
-    monkeypatch.setattr(PermutationGroup, "elements", wrapped)
-    return calls
-
-
 @pytest.mark.parametrize("builder", [
     lambda: cat.symmetric_natural(6).group,
     lambda: cat.psl2_projective(7).group,
@@ -720,32 +817,34 @@ def test_battery_tests_1_and_5_share_one_element_pass(monkeypatch, builder):
     group = builder()
     alone = [nb.test1_character_bound(group, 4).to_json(),
              nb.test5_special_primes(group).to_json()]
-    calls = _counting_elements(monkeypatch, group)
+    passes = _counting_passes(monkeypatch, group)
+    walks = _counting_walks(monkeypatch, nb)
     outcomes = run_battery(group, tests=("1", "5"), stop_at_first=False)
-    assert calls[0] == 1
+    assert passes[0] == 1
+    assert walks[0] == group.order()  # one cycle walk per element
     assert [o.to_json() for o in outcomes] == alone
     # each test on its own still makes its own pass
     nb.test1_character_bound(group, 4)
     nb.test5_special_primes(group, 2)
-    assert calls[0] == 3
+    assert passes[0] == 3
 
 
 def test_battery_stopping_at_first_keeps_separate_passes(monkeypatch):
     # Alt(5) stops at test 1, so test 1's pass must not also sort elements
     # by prime order for a test 5 that never runs
     group = cat.alternating_natural(5).group
-    calls = _counting_elements(monkeypatch, group)
-    orders = counting(monkeypatch, Permutation, "order")
+    passes = _counting_passes(monkeypatch, group)
+    walks = _counting_walks(monkeypatch, nb, perm)
     outcomes = run_battery(group, tests=("1", "5"))
     assert len(outcomes) == 1 and outcomes[0].not_binary
-    assert calls[0] == 1
-    assert orders[0] == 0
+    assert passes[0] == 1
+    assert walks[0] == 0
     # on a binary group both tests run, each with its own pass
     group = cat.symmetric_natural(6).group
-    calls = _counting_elements(monkeypatch, group)
+    passes = _counting_passes(monkeypatch, group)
     outcomes = run_battery(group, tests=("1", "5"))
     assert len(outcomes) == 2
-    assert calls[0] == 2
+    assert passes[0] == 2
 
 
 def test_battery_handles_inapplicable():

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from relkit.errors import MalformedSyntax, PointOutOfRange, RepeatedPoint
-from relkit.perm import Permutation, format_permutation, parse_permutation
+from relkit.perm import (
+    Permutation,
+    fixed_count,
+    fixed_count_and_order,
+    format_permutation,
+    parse_permutation,
+)
 
 
 def test_parse_basic_cycle():
@@ -77,7 +83,12 @@ def test_order_and_cycle_type():
 @given(st.integers(1, 12).flatmap(lambda n: st.permutations(range(n))))
 def test_order_is_the_lcm_of_the_cycle_lengths(images):
     p = Permutation(images)
-    assert p.order() == math.lcm(*(len(c) for c in p.cycles()))
+    # one walk gives the order and counts the points outside every cycle
+    lengths = [len(c) for c in p.cycles()]
+    fixed = len(images) - sum(lengths)
+    assert fixed_count_and_order(p.images) == (fixed, math.lcm(*lengths))
+    assert fixed_count(p.images) == fixed
+    assert p.order() == math.lcm(*lengths)
     assert (p ** p.order()).is_identity()
 
 
