@@ -205,13 +205,6 @@ class StabilizerChain:
             n *= len(level.transversal)
         return n
 
-    def stored_size(self) -> int:
-        """Image entries the chain holds once every transversal inverse
-        is cached: degree times (twice the transversal elements plus the
-        strong generators)."""
-        perms = sum(2 * len(level.transversal) + len(level.added) for level in self._levels)
-        return perms * self.degree
-
     def strong_generators_below(self, k: int):
         """Generators of the pointwise stabilizer of the first k base points."""
         out = []

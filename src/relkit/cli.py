@@ -316,6 +316,8 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise BadParameter(f"--jobs must be at least 1, not {args.jobs}")
     numbers = None
     if args.filter is not None:
         tokens = [t.strip() for t in args.filter.split(",")]

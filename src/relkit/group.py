@@ -6,12 +6,9 @@ first demand under a lock, so groups are safe to share across threads.
 Degrees above DEGREE_CAP are rejected outright.
 
 Transporters, element conjugacy, setwise stabilizers and stabilizer
-orders need a chain whose base starts with given points.  Each group
-memoises those chains by the exact prefix tuple (another order of the
-same points gives other transversals, hence other certificates), up to
-CHAIN_MEMO_BUDGET stored image entries; past the budget a chain is built
-and used but not kept.  Pointwise stabilizers do not use the memo: the
-search walks thousands of them, each asked for one chain.
+orders build, per call, the chain of rebased(prefix) for the exact
+points in their order: another order gives other transversals, hence
+other certificates.
 """
 
 from __future__ import annotations
@@ -32,8 +29,6 @@ from .errors import (
 from .perm import Permutation, format_permutation, parse_permutation
 
 DEGREE_CAP = 10**5
-# Image entries (StabilizerChain.stored_size) one group keeps memoised.
-CHAIN_MEMO_BUDGET = 1 << 17
 
 
 def tuple_image(items, images):
@@ -110,8 +105,6 @@ class PermutationGroup:
         self._cut_levels: tuple = ()
         self._chain: StabilizerChain | None = None
         self._lock = threading.Lock()
-        self._prefix_chains: dict[tuple, StabilizerChain] = {}
-        self._prefix_chains_size = 0
 
     # -- chain ---------------------------------------------------------
 
@@ -135,20 +128,6 @@ class PermutationGroup:
         for p in base_prefix:
             self._check_point(p)
         return PermutationGroup(self.degree, self.generators, base_prefix, self._order)
-
-    def _prefix_chain(self, prefix) -> StabilizerChain:
-        """rebased(prefix).chain, memoised by the exact prefix tuple."""
-        key = tuple(dict.fromkeys(prefix))
-        chain = self._prefix_chains.get(key)
-        if chain is None:
-            chain = self.rebased(key).chain
-            size = chain.stored_size()
-            with self._lock:
-                if (key not in self._prefix_chains
-                        and self._prefix_chains_size + size <= CHAIN_MEMO_BUDGET):
-                    self._prefix_chains[key] = chain
-                    self._prefix_chains_size += size
-        return chain
 
     def order(self) -> int:
         if self._order is None:
@@ -223,7 +202,7 @@ class PermutationGroup:
             return None
         if not pairs:
             return self.identity()
-        chain = self._prefix_chain([a for a, _ in pairs])
+        chain = self.rebased([a for a, _ in pairs]).chain
         return chain.descend([b for _, b in pairs])
 
     def pointwise_stabilizer(self, points, *, keep_levels=False) -> "PermutationGroup":
@@ -248,7 +227,7 @@ class PermutationGroup:
 
     def pointwise_stabilizer_order(self, points) -> int:
         points = list(dict.fromkeys(points))
-        return self._prefix_chain(points).order_below(len(points))
+        return self.rebased(points).chain.order_below(len(points))
 
     def setwise_stabilizer(self, points) -> "PermutationGroup":
         """{g : points^g == points} via backtracking over chosen images.
@@ -264,7 +243,7 @@ class PermutationGroup:
             self._check_point(p)
         if len(lam) == self.degree:
             return PermutationGroup(self.degree, self.generators)
-        chain = self._prefix_chain(lam)
+        chain = self.rebased(lam).chain
         pointwise = chain.strong_generators_below(len(lam))
         found: list[Permutation] = []
         known_chain = [StabilizerChain(self.degree, pointwise, lam)]
@@ -323,7 +302,7 @@ class PermutationGroup:
         # scan needs one q per G_0-orbit, its minimum (the chain for G_0
         # is cheap to rebase once the order is known)
         self.order()
-        g0 = [g.images for g in self._prefix_chain([0]).strong_generators_below(1)]
+        g0 = [g.images for g in self.rebased([0]).chain.strong_generators_below(1)]
         for q, _ in orbits_under(range(1, n), g0, _point_image):
             blocks = self._minimal_block(0, q)
             if 1 < len(blocks[0]) < n:
@@ -377,7 +356,7 @@ class PermutationGroup:
         for cycle in sorted(g.cycles(), key=lambda c: (-len(c), c)):
             base.extend(cycle)
         base.extend(p for p in range(self.degree) if g(p) == p)
-        chain = self._prefix_chain(base)
+        chain = self.rebased(base).chain
         ginv = g.inverse()
         fixed_h = set(h.fixed_points())
         n_levels = min(len(base), len(chain.base))

@@ -25,8 +25,16 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-from .errors import DegreeTooLarge, GroupTooLarge, LengthMismatch, NotTransitive
-from .group import PermutationGroup
+from .errors import (
+    DegreeTooLarge,
+    GroupTooLarge,
+    LengthMismatch,
+    MalformedSyntax,
+    NotTransitive,
+    ParseError,
+    PointOutOfRange,
+)
+from .group import PermutationGroup, _json_int, _json_list
 from .perm import Permutation, format_permutation, parse_permutation
 from .search import StabilizerLattice, canonical_prefixes
 
@@ -57,6 +65,8 @@ class TuplePair:
         n = len(self.I)
         if len(self.J) != n or self.completeness_level < 1:
             return False
+        if not all(0 <= p < group.degree for p in itertools.chain(self.I, self.J)):
+            return False
         size = min(self.completeness_level, n)
         if self.transporters.keys() != set(itertools.combinations(range(n), size)):
             return False
@@ -84,17 +94,46 @@ class TuplePair:
 
     @staticmethod
     def from_json(data, degree: int) -> "TuplePair":
-        certs = {
-            tuple(json.loads(key)): parse_permutation(text, degree)
-            for key, text in data.get("certs", {}).items()
-        }
+        """The pair to_json wrote.  ParseError for a missing field, a point
+        that is not an integer in 0..degree-1, a 'k' that is not an
+        integer, an 'equivalent' that is not a boolean, or a malformed
+        cert key or permutation."""
+        if not isinstance(data, dict) or not {"I", "J", "k", "equivalent"} <= data.keys():
+            raise ParseError("a tuple pair needs 'I', 'J', 'k' and 'equivalent' fields")
+        if not isinstance(data["equivalent"], bool):
+            raise ParseError(f"'equivalent' must be a boolean, not {data['equivalent']!r}")
+        certs_json = data.get("certs", {})
+        if not isinstance(certs_json, dict):
+            raise ParseError(f"'certs' must be an object, not {certs_json!r}")
+        certs = {}
+        for key, text in certs_json.items():
+            try:
+                positions = json.loads(key)
+            except json.JSONDecodeError:
+                raise ParseError(f"cert key {key!r} is not a JSON list") from None
+            subset = tuple(_json_int(i, "a cert key's position")
+                           for i in _json_list(positions, "a cert key"))
+            if not isinstance(text, str):
+                raise ParseError(f"a cert must be a cycle string, not {text!r}")
+            try:
+                certs[subset] = parse_permutation(text, degree)
+            except (MalformedSyntax, PointOutOfRange) as exc:
+                raise ParseError(f"cert {key}: {exc}") from exc
         return TuplePair(
-            I=tuple(data["I"]),
-            J=tuple(data["J"]),
-            completeness_level=data["k"],
+            I=_json_points(data["I"], degree, "'I'"),
+            J=_json_points(data["J"], degree, "'J'"),
+            completeness_level=_json_int(data["k"], "'k'"),
             transporters=certs,
             equivalent=data["equivalent"],
         )
+
+
+def _json_points(value, degree, what):
+    points = tuple(_json_int(p, f"a point of {what}") for p in _json_list(value, what))
+    for p in points:
+        if not 0 <= p < degree:
+            raise ParseError(f"point {p} of {what} outside 0..{degree - 1}")
+    return points
 
 
 def subtuple_complete(group, I, J, k):

@@ -327,12 +327,14 @@ def run_criterion(number):
 
 def run_all(numbers=None, echo=print, jobs=1):
     """Run the selected criteria in list order, reporting each result
-    through echo as it arrives; jobs > 1 runs them in worker processes."""
+    through echo as it arrives; jobs > 1 runs them in worker processes,
+    never more than there are criteria to run."""
     wanted = [num for num, _, _ in CRITERIA if numbers is None or num in numbers]
-    if jobs > 1:
+    workers = min(jobs, len(wanted))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return _summarise(pool.map(run_criterion, wanted), echo)
     return _summarise(map(run_criterion, wanted), echo)
 

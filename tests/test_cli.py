@@ -488,3 +488,43 @@ def test_verify_jobs_parallel(capsys):
     code, out = run(capsys, "verify", "--filter=1,2", "--jobs", "2")
     assert code == 0
     assert out.index("criterion 1") < out.index("criterion 2")  # input order
+
+
+def test_verify_starts_no_more_workers_than_criteria(capsys, monkeypatch):
+    import concurrent.futures
+    import multiprocessing.process
+
+    workers = []
+
+    class InProcessExecutor:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    def no_process(self):
+        raise AssertionError("verify started a process")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessExecutor)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+    code, out = run(capsys, "verify", "--filter=1,2", "--jobs", "64")
+    assert code == 0 and workers == [2]
+    assert out.index("criterion 1") < out.index("criterion 2")
+    # one criterion runs in this process, with no pool at all
+    code, _ = run(capsys, "verify", "--filter=1", "--jobs", "64")
+    assert code == 0 and workers == [2]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_jobs_below_one_is_an_input_error(capsys, jobs):
+    assert main(["verify", "--filter=1", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no criterion ran
+    assert captured.err.startswith("error: ") and "--jobs" in captured.err

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relkit import catalog as cat, relcomp
-from relkit.errors import DegreeTooLarge, GroupTooLarge, LengthMismatch, NotTransitive
+from relkit.errors import (
+    DegreeTooLarge,
+    GroupTooLarge,
+    LengthMismatch,
+    NotTransitive,
+    ParseError,
+)
 from relkit.group import PermutationGroup
 from relkit.oracle import (
     literal_relational_complexity,
@@ -214,6 +220,63 @@ def test_verify_needs_a_transporter_for_every_subset():
     # a certificate read from JSON can be malformed in shape, too
     assert not TuplePair.from_json({**data, "J": [0, 2]}, 5).verify(c5)
     assert not TuplePair.from_json({**data, "k": 0, "certs": {"[]": "()"}}, 5).verify(c5)
+
+
+def test_verify_rejects_a_point_out_of_range():
+    # 5 is past the image tuples; -1 would index them from the end
+    c5 = cat.cyclic_regular(5).group
+    for I, J in [((0, 5), (0, 1)), ((0, -1), (0, 4))]:
+        pair = TuplePair(I=I, J=J, completeness_level=1,
+                         transporters={(0,): c5.identity(), (1,): c5.identity()})
+        assert pair.verify(c5) is False
+
+
+def _pair_json():
+    g = cat.alternating_natural(4).group
+    return relational_complexity(g)[1].to_json()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("I", [0, 1.0, 2]),
+    ("I", "012"),
+    ("J", [0, 1, 4]),
+    ("J", [-1, 1, 2]),
+    ("k", True),
+    ("k", 2.0),
+    ("equivalent", "no"),
+    ("equivalent", 0),
+    ("certs", [["(1 2)"]]),
+])
+def test_from_json_rejects_a_malformed_field(field, value):
+    data = _pair_json()
+    assert TuplePair.from_json(data, 4).verify(cat.alternating_natural(4).group)
+    with pytest.raises(ParseError, match=field if field != "certs" else "'certs'"):
+        TuplePair.from_json({**data, field: value}, 4)
+
+
+@pytest.mark.parametrize("field", ["I", "J", "k", "equivalent"])
+def test_from_json_rejects_a_missing_field(field):
+    data = _pair_json()
+    del data[field]
+    with pytest.raises(ParseError, match="needs 'I', 'J', 'k' and 'equivalent'"):
+        TuplePair.from_json(data, 4)
+    with pytest.raises(ParseError):
+        TuplePair.from_json([data], 4)
+
+
+@pytest.mark.parametrize("key, text", [
+    ("[0, 1", "()"),
+    ("{}", "()"),
+    ("[0, 1.5]", "()"),
+    ("[0, true]", "()"),
+    ("[0, 1]", 7),
+    ("[0, 1]", "(1 2"),
+    ("[0, 1]", "(1 5)"),
+])
+def test_from_json_rejects_a_malformed_cert(key, text):
+    data = _pair_json()
+    with pytest.raises(ParseError):
+        TuplePair.from_json({**data, "certs": {**data["certs"], key: text}}, 4)
 
 
 def test_verify_covers_the_whole_tuple_when_k_exceeds_its_length():
