@@ -39,9 +39,6 @@ class Digraph:
     def to_json(self) -> dict:
         return {"vertices": self.vertices, "edges": sorted(list(e) for e in self.edges)}
 
-    def is_antisymmetric(self) -> bool:
-        return all((b, a) not in self.edges for a, b in self.edges)
-
 
 def complete(n) -> Digraph:
     if n < 1:
@@ -187,12 +184,6 @@ def canonical_form(graph: Digraph) -> int:
     bits = _relabelled_bits(n)
     # a relabeling maps distinct pairs to distinct bits, so the sum is the mask
     return min(map(sum, zip(*map(bits.__getitem__, graph.edges))))
-
-
-def digraphs_isomorphic(g1: Digraph, g2: Digraph) -> bool:
-    if g1.vertices != g2.vertices or len(g1.edges) != len(g2.edges):
-        return False
-    return canonical_form(g1) == canonical_form(g2)
 
 
 def enumerate_homogeneous_digraphs(n) -> list[Digraph]:

@@ -469,14 +469,14 @@ def group_from_json(data) -> PermutationGroup:
 
 def load_group(path) -> PermutationGroup:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read group file {path}: {exc}") from exc
     return group_from_json(data)
 
 
 def dump_group(group: PermutationGroup, path):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(group.to_json(), fh, indent=2)
         fh.write("\n")

@@ -39,6 +39,7 @@ from .perm import (
 from .relcomp import (
     TuplePair,
     _witness_at_prefix,
+    lattice_witness,
     suborbit_rcs,
     subtuple_complete,
     witness_pair,
@@ -444,7 +445,7 @@ def test3_triples(group) -> TestOutcome:
         prefix_set = frozenset((0, beta))
         hit = _witness_at_prefix(lattice, prefix_set, lattice.stabilizer(prefix_set))
         if hit is not None:
-            pair = witness_pair(group, (0, beta), hit)
+            pair = lattice_witness(lattice, (0, beta), *hit)
             return TestOutcome("test3", NOT_BINARY, WitnessPairCertificate(pair))
     return TestOutcome("test3", INCONCLUSIVE)
 

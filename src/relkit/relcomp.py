@@ -30,7 +30,6 @@ from .errors import (
     GroupTooLarge,
     LengthMismatch,
     MalformedSyntax,
-    NotTransitive,
     ParseError,
     PointOutOfRange,
 )
@@ -163,11 +162,9 @@ def orbit_equivalent(group, I, J) -> bool:
 
 
 def _witness_at_prefix(lattice, prefix_set, stab):
-    """Search a, b completing the prefix to a witness; None if none exists.
-
-    Returns (alpha, beta, per-dropped-index transporters) on success.
-    """
-    side_groups = lattice.side_groups(prefix_set)
+    """Search a, b completing the prefix to a witness: (alpha, beta), or
+    None if none exists."""
+    side_groups = lattice.side_groups(prefix_set, stab.order())
     if side_groups is None:
         return None  # a redundant point: the intersection can never escape
     for alpha, orbit in stab.orbits():
@@ -182,16 +179,8 @@ def _witness_at_prefix(lattice, prefix_set, stab):
                 break
             candidates &= side.orbit(alpha)
         escaped = candidates.difference(orbit)
-        if not escaped:
-            continue
-        # A transporter word costs a product per orbit point, and almost
-        # no prefix has a witness: build words for the one returned only.
-        beta = min(escaped)
-        transporters = {
-            idx_dropped: side.orbit_transporter(alpha)[beta]
-            for idx_dropped, side in enumerate(side_groups)
-        }
-        return alpha, beta, transporters
+        if escaped:
+            return alpha, min(escaped)
     return None
 
 
@@ -219,14 +208,25 @@ class WitnessSearch:
         """(RC, maximal witness pair), or (2, None) for a binary action."""
         if self.best is None:
             return 2, None
-        prefix, hit = self.best
-        return len(prefix) + 1, witness_pair(self.lattice.group, prefix, hit)
+        prefix, (alpha, beta) = self.best
+        return len(prefix) + 1, lattice_witness(self.lattice, prefix, alpha, beta)
+
+
+def lattice_witness(lattice, prefix, alpha, beta) -> TuplePair:
+    """The witness pair of a hit (alpha, beta) of _witness_at_prefix on the
+    sorted prefix, its transporters read off the lattice's side groups."""
+    prefix_set = frozenset(prefix)
+    transporters = {
+        dropped: lattice.stabilizer(prefix_set - {p}).orbit_transporter(alpha)[beta]
+        for dropped, p in enumerate(prefix)
+    }
+    return witness_pair(lattice.group, prefix, (alpha, beta, transporters))
 
 
 def witness_pair(group, prefix, hit) -> TuplePair:
     """The pair (prefix + (alpha,), prefix + (beta,)) of a hit
-    (alpha, beta, side transporters) of _witness_at_prefix on the sorted
-    prefix, with a transporter per subset of all positions but one."""
+    (alpha, beta, side transporters), the i-th fixing the prefix but its
+    i-th point: one transporter per subset of all positions but one."""
     alpha, beta, side_transporters = hit
     m = len(prefix)
     transporters = {tuple(range(m)): group.identity()}
@@ -272,10 +272,3 @@ def suborbit_rcs(group):
             lam = sorted(orbit)
             induced, _ = stab.induced_action(lam)
             yield (lam, *relational_complexity(induced))
-
-
-def suborbit_rc_lower_bound(group) -> int:
-    """Max RC over induced point-stabilizer suborbit actions (>= 2)."""
-    if not group.is_transitive():
-        raise NotTransitive("suborbit bound requires a transitive group")
-    return max((rc for _, rc, _ in suborbit_rcs(group)), default=2)

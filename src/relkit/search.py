@@ -31,12 +31,12 @@ orbit-mate never wins.  RC's prune, ``depth + log2(order) <= best_level``,
 reads orbit invariants and a best level that orbit-mates never raise, so
 it cuts the same first sets.  RC, its witness (I, J) and the b/B/H/I
 witnesses are the plain walk's.  The witness's transporters are words in
-the generators of the side groups the lattice serves; a side set the
-plain walk visited but the orbit walk skips is built by the lattice's
-own recursion instead, so the argument does not cover those words.
-tests/test_search.py compares the whole witness with the plain walk's
-(on every group tried, the side groups of a witness prefix have the
-same generators whichever way they are built).
+the generators of the side groups the lattice serves, read once the walk
+is done.  Every group the lattice holds is the one its own recursion
+builds: the walk hands it only stabilizers built along ascending paths
+(StabilizerLattice.adopt), which are those groups.  So the words depend
+on the group's generators, the prefix, alpha and beta, and not on the
+order of the walk or on how it builds its stabilizers.
 
 Two sets are tested in two steps.  A key first: per point the sorted
 colours of the orbitals (G-orbits on ordered pairs, diagonal included)
@@ -57,7 +57,7 @@ from .group import PermutationGroup, tuple_orbits
 
 
 class StabilizerLattice:
-    """Memoized pointwise stabilizers of point sets, computed incrementally."""
+    """Memoized pointwise stabilizers of point sets, by max-pivot recursion."""
 
     def __init__(self, group: PermutationGroup):
         self.group = group
@@ -73,13 +73,19 @@ class StabilizerLattice:
         self._memo[points] = result
         return result
 
+    def adopt(self, path: tuple, group: PermutationGroup):
+        """Keep the walk's stabilizer of path, built point by point, if path
+        ascends: stabilizer() then makes the same pointwise_stabilizer calls
+        on the same groups, so group is the lattice's own."""
+        if all(a < b for a, b in zip(path, path[1:])):
+            self._memo.setdefault(frozenset(path), group)
+
     def order(self, points: frozenset) -> int:
         return self.stabilizer(points).order()
 
-    def side_groups(self, points: frozenset):
+    def side_groups(self, points: frozenset, full: int):
         """The stabilizers of points - {p}, p ascending, or None as soon as
-        some p is redundant: dropping it leaves the stabilizer order as is."""
-        full = self.order(points)
+        some p is redundant: dropping it leaves the order, full, as is."""
         sides = []
         for p in sorted(points):
             side = self.stabilizer(points - {p})
@@ -88,9 +94,9 @@ class StabilizerLattice:
             sides.append(side)
         return sides
 
-    def is_independent(self, points: frozenset) -> bool:
+    def is_independent(self, points: frozenset, full: int) -> bool:
         """No point is redundant: dropping any point enlarges the stabilizer."""
-        return self.side_groups(points) is not None
+        return self.side_groups(points, full) is not None
 
 
 def orbital_colours(group: PermutationGroup):
@@ -139,7 +145,7 @@ def canonical_prefixes(lattice: StabilizerLattice, prune=None):
             child_order = child.order()
             child_levels = levels + child._cut_levels
             same_key.append(child_levels)
-            lattice._memo.setdefault(child_set, child)
+            lattice.adopt(points + (p,), child)
             yield points + (p,), child_set, child
             yield from walk(points + (p,), child_set, child, child_order, child_levels)
 

@@ -21,9 +21,9 @@ than its best level, and each step down at least halves the order, so
 a node under a cut node A has depth <= depth(A) + log2|G_A| <= best.
 If the unpruned walk skips a live node N for an earlier orbit-mate M,
 either the pruned walk visited M and skips N too, or M lies under a cut
-node and depth(N) = depth(M) <= best.  Witness transporters are words
-in side-group generators, and the shared lattice also holds groups the
-pruned walk never built; tests/test_stats.py compares the reports.
+node and depth(N) = depth(M) <= best.  The witness words are read off
+the lattice, which holds only its own recursion's groups (search.py),
+after the walk; tests/test_stats.py compares the reports.
 """
 
 from __future__ import annotations
@@ -70,9 +70,9 @@ class ProfileSearch:
                 self.b, self.b_wit = depth, points
             if depth > self.irr:
                 self.irr, self.irr_wit = depth, points
-        if depth > self.h and self.lattice.is_independent(fset):
+        if depth > self.h and self.lattice.is_independent(fset, stab.order()):
             self.h, self.h_wit = depth, points
-        if trivial and depth > self.big_b and self.lattice.is_independent(fset):
+        if trivial and depth > self.big_b and self.lattice.is_independent(fset, stab.order()):
             self.big_b, self.big_b_wit = depth, points
 
     def result(self) -> BaseHeightProfile:

@@ -76,6 +76,8 @@ class RelationalStructure:
             raise ParseError("structure file needs a 'vertices' field")
         vertices = _json_int(data["vertices"], "'vertices'")
         if "edges" in data:  # digraph shorthand
+            if "relations" in data:
+                raise ParseError("need at most one of 'edges' or 'relations'")
             relations = [{"arity": 2, "tuples": data["edges"]}]
         else:
             relations = _json_list(data.get("relations", []), "'relations'")
@@ -93,9 +95,9 @@ class RelationalStructure:
 
 def load_structure(path) -> RelationalStructure:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read structure file {path}: {exc}") from exc
     return RelationalStructure.from_json(data)
 

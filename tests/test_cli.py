@@ -311,6 +311,25 @@ def test_homog_malformed_structure_is_parse_error(capsys, tmp_path, data):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [["rc"], ["stats"], ["tests", "--all"], ["closure"], ["homog"]],
+                         ids=["rc", "stats", "tests-all", "closure", "homog"])
+def test_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path, argv):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main([*argv, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read ")
+    assert "utf-8" in captured.err
+
+
+def test_homog_relation_of_arity_zero_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "nullary.json"
+    path.write_text(json.dumps({"vertices": 3, "relations": [{"arity": 0, "tuples": [[]]}]}))
+    assert main(["homog", str(path)]) == 2
+    assert capsys.readouterr().err == "error: relations must have arity >= 2\n"
+
+
 def test_catalog_list_and_build(capsys, tmp_path):
     code, out = run(capsys, "catalog", "list", "--format=json")
     assert code == 0

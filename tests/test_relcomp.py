@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relkit import catalog as cat, relcomp
+from relkit import catalog as cat, nonbinary, relcomp
 from relkit.errors import (
     DegreeTooLarge,
     GroupTooLarge,
@@ -25,8 +25,8 @@ from relkit.relcomp import (
     is_binary,
     orbit_equivalent,
     relational_complexity,
+    suborbit_rcs,
     subtuple_complete,
-    suborbit_rc_lower_bound,
 )
 from relkit.stats import base_height_profile, compute_statistics, height
 from test_chain import subgroups_with_points
@@ -388,28 +388,36 @@ def test_naive_statistics_by_hand():
 
 # -- suborbit bound ---------------------------------------------------------------------
 
+def suborbit_values(group):
+    return [rc for _, rc, _ in suborbit_rcs(group)]
+
+
 def test_suborbit_bound_sym5():
-    assert suborbit_rc_lower_bound(cat.symmetric_natural(5).group) == 2
+    # Sym(4) on the one suborbit {1..4}: binary
+    assert suborbit_values(cat.symmetric_natural(5).group) == [2]
 
 
 def test_suborbit_bound_alt6():
-    assert suborbit_rc_lower_bound(cat.alternating_natural(6).group) == 4
+    # Alt(5) on the one suborbit {1..5}: RC 4
+    assert suborbit_values(cat.alternating_natural(6).group) == [4]
 
 
 def test_suborbit_bound_regular():
-    assert suborbit_rc_lower_bound(cat.cyclic_regular(7).group) == 2
+    # the point stabilizer is trivial: no suborbit of length >= 2
+    assert suborbit_values(cat.cyclic_regular(7).group) == []
 
 
 def test_suborbit_bound_is_lower_bound():
     for entry in [cat.alternating_natural(6), cat.k_subsets_action("Sym", 6, 2),
                   cat.psl2_projective(7)]:
         rc, _ = relational_complexity(entry.group)
-        assert suborbit_rc_lower_bound(entry.group) <= rc
+        assert all(value <= rc for value in suborbit_values(entry.group))
 
 
 def test_suborbit_bound_needs_transitive():
+    # test 4 is what lifts a suborbit witness, and only a transitive group's
     with pytest.raises(NotTransitive):
-        suborbit_rc_lower_bound(cat.intransitive_join(3).group)
+        nonbinary.test4_suborbits(cat.intransitive_join(3).group)
 
 
 # -- statistics -------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from unittest import mock
 from hypothesis import example, given, settings
 
 from relkit import catalog as cat
-from relkit import relcomp
+from relkit import relcomp, stats
 from relkit.chain import maps_onto
 from relkit.group import PermutationGroup
 from relkit.oracle import mulclose
@@ -104,3 +104,72 @@ def test_maps_onto_matches_brute_force(case):
         for target in (frozenset(images[x] for x in source), frozenset(images[:len(source)])):
             want = any(frozenset(e[x] for x in source) == target for e in elements)
             assert maps_onto(stab._cut_levels, target) == want
+
+
+# Alt(7) on 3-subsets: a walk builds a stabilizer along a path that does
+# not ascend, with generators other than the lattice's recursion gives
+ALT7_3 = (35, list(cat.k_subsets_action("Alt", 7, 3).group.generators), [])
+
+
+def walked_lattices(run, module, group):
+    """The lattices run(group) makes through module.StabilizerLattice."""
+    made = []
+
+    def recording(top):
+        made.append(StabilizerLattice(top))
+        return made[-1]
+
+    with mock.patch.object(module, "StabilizerLattice", recording):
+        run(group)
+    return made
+
+
+@given(subgroups_with_points())
+@example(PSL25)
+@example(ALT7_3)
+@settings(max_examples=40, deadline=None)
+def test_the_lattice_holds_only_the_groups_its_recursion_builds(case):
+    degree, gens, _ = case
+    group = PermutationGroup(degree, gens)
+    fresh = StabilizerLattice(group)
+    for run, module in ((relcomp.relational_complexity, relcomp),
+                        (stats.compute_statistics, stats)):
+        for lattice in walked_lattices(run, module, group):
+            for points, stab in lattice._memo.items():
+                assert stab.generators == fresh.stabilizer(points).generators, sorted(points)
+
+
+def reversed_walk_child(pointwise_stabilizer):
+    """pointwise_stabilizer, with each walk child (keep_levels=True) handed
+    back with its generators reversed and its cut levels kept."""
+
+    def reversing(self, points, *, keep_levels=False):
+        stab = pointwise_stabilizer(self, points, keep_levels=keep_levels)
+        if not keep_levels:
+            return stab
+        child = PermutationGroup(stab.degree, stab.generators[::-1], _order=stab.order())
+        child._cut_levels = stab._cut_levels
+        return child
+
+    return reversing
+
+
+def rc_and_stats_json(degree, gens):
+    rc, witness = relcomp.relational_complexity(PermutationGroup(degree, gens))
+    report = stats.compute_statistics(PermutationGroup(degree, gens))
+    return rc, witness.to_json() if witness else None, report.to_json()
+
+
+@given(subgroups_with_points())
+@example(PSL25)
+@example(ALT7_3)
+@settings(max_examples=40, deadline=None)
+def test_outputs_do_not_depend_on_how_the_walk_builds_its_groups(case):
+    # words are read off the lattice's own groups, so a walk that keeps
+    # none and builds each child from other generators changes nothing
+    degree, gens, _ = case
+    want = rc_and_stats_json(degree, gens)
+    reversing = reversed_walk_child(PermutationGroup.pointwise_stabilizer)
+    with mock.patch.object(StabilizerLattice, "adopt", lambda self, path, group: None), \
+            mock.patch.object(PermutationGroup, "pointwise_stabilizer", reversing):
+        assert rc_and_stats_json(degree, gens) == want
