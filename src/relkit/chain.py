@@ -24,6 +24,19 @@ The kernel works on image tuples: Schreier generators are formed and
 sifted as tuples, against inverse transversal images that each level
 caches on first use, and a residue becomes a Permutation only when it is
 installed as a strong generator.
+
+A new strong generator restarts the scan of its level, and the restarted
+scan meets again the Schreier generators it had already cleared.  Each
+build therefore keeps, per level, the set of Schreier generators that
+sifted to the identity, keyed on their own image tuples, and skips them
+(the bookkeeping of incremental Schreier-Sims; Holt, Eick and O'Brien,
+*Handbook of Computational Group Theory*, ch. 4).  The chain is unchanged:
+the deepest dirty level is scanned first, so levels i+1 onward are
+complete whenever level i is scanned; a cleared tuple lies in their group,
+which only grows, so it would sift to the identity again, and the scan
+meets the same first non-identity residue in the same order.  A key on
+(u_b, g) would not do, since u_c can change when level i is rebuilt.
+The sets live for one build and are not stored on the chain.
 """
 
 from __future__ import annotations
@@ -148,6 +161,8 @@ class StabilizerChain:
         after bringing every stale transversal up to date.
         """
         dirty = set(range(len(self._levels)))
+        # level -> Schreier generators (image tuples) that sifted to the identity
+        cleared: dict[int, set] = {}
         while dirty:
             i = max(dirty)
             self._rebuild_transversal(i)
@@ -157,6 +172,7 @@ class StabilizerChain:
                 return
             level = self._levels[i]
             gens = [g.images for g in self.strong_generators_below(i)]
+            seen = cleared.setdefault(i, set())
             clean = True
             for b in sorted(level.transversal):
                 u_b = level.transversal[b].images
@@ -164,8 +180,12 @@ class StabilizerChain:
                     # u_b * g * u_c^-1 with c = b^g, as one image tuple
                     u_c_inv = level.inverse(g[b])
                     schreier = tuple(map(u_c_inv.__getitem__, map(g.__getitem__, u_b)))
+                    if schreier in seen:
+                        continue
                     residue = self._sift(schreier, i + 1)
-                    if residue != self._identity:
+                    if residue == self._identity:
+                        seen.add(schreier)
+                    else:
                         j = self._install(_trusted(residue))
                         dirty.update(range(i + 1, j + 1))
                         dirty.add(i)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
-from .errors import ArityTooLarge, CapExceeded, ParseError, TooLarge, VertexOutOfRange
+from .errors import ArityTooLarge, BadParameter, CapExceeded, ParseError, TooLarge, VertexOutOfRange
 from .group import PermutationGroup, _json_int, _json_list, orbits_under, tuple_image, tuple_orbits
 from .perm import Permutation
 from .relcomp import relational_complexity
@@ -35,7 +35,7 @@ class RelationalStructure:
         cleaned = []
         for arity, tuples in relations:
             if arity < 2:
-                raise ArityTooLarge("relations must have arity >= 2")
+                raise ParseError("relations must have arity >= 2")
             tupleset = frozenset(tuple(t) for t in tuples)
             for t in tupleset:
                 if len(t) != arity:
@@ -272,7 +272,7 @@ def canonical_structure(group, s) -> RelationalStructure:
     """Relations = all G-orbits on Omega^i for i = 2..s (repeats included),
     each orbit listed by its lexicographic minimum."""
     if s < 2:
-        raise ArityTooLarge("arity must be at least 2")
+        raise BadParameter("arity must be at least 2")
     if s > STRUCTURAL_RC_ARITY_CAP:
         raise ArityTooLarge(f"arity capped at {STRUCTURAL_RC_ARITY_CAP}")
     n = group.degree

@@ -2,11 +2,13 @@
 built with a known order, and orders carried by stabilizers, against full
 Schreier-Sims builds and the brute-force oracle."""
 
+from collections import Counter
 from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from relkit import catalog as cat
 from relkit.chain import StabilizerChain
 from relkit.errors import PointOutOfRange
 from relkit.group import PermutationGroup
@@ -34,11 +36,13 @@ def levels(chain):
     ]
 
 
-def reference_levels(degree, generators, base_prefix=(), order=None):
+def reference_levels(degree, generators, base_prefix=(), order=None, counts=None):
     """levels() of the chain StabilizerChain builds, from the same
     deterministic Schreier-Sims loop written with Permutation products and
     one inverse per step, as it was before the kernel moved to image
-    tuples."""
+    tuples.  The loop sifts every Schreier generator on every scan of a
+    level, also those an earlier scan cleared; counts["sifts"], when a
+    Counter is given, counts those sifts."""
     identity = Permutation.identity(degree)
     points, added, transversals = [], [], []
 
@@ -74,6 +78,8 @@ def reference_levels(degree, generators, base_prefix=(), order=None):
         transversals[i] = reps
 
     def sift(g, start):
+        if counts is not None:
+            counts["sifts"] += 1
         for i in range(start, len(points)):
             b = g(points[i])
             if b not in transversals[i]:
@@ -125,6 +131,34 @@ def test_chain_equals_reference_schreier_sims(case):
     order = prod(len(reps) for _, _, reps in want)
     assert (levels(StabilizerChain(degree, gens, prefix, order=order))
             == reference_levels(degree, gens, prefix, order))
+
+
+# The reference loop takes about 0.3 s over all default entries, so none is
+# skipped.
+@pytest.mark.parametrize("entry", cat.default_entries(), ids=lambda e: e.label)
+def test_catalog_chains_equal_reference_schreier_sims(entry):
+    degree, gens, order = entry.group.degree, entry.group.generators, entry.group.order()
+    prefix = (degree - 1, 0)
+    for args in [(), ((), order), (prefix,), (prefix, order)]:
+        assert levels(StabilizerChain(degree, gens, *args)) == reference_levels(degree, gens, *args)
+
+
+def test_cleared_schreier_generators_are_not_sifted_again(monkeypatch):
+    degree = 12
+    gens = [Permutation.from_cycles([[0, 1]], degree),
+            Permutation([*range(1, degree), 0])]
+    reference = Counter()
+    want = reference_levels(degree, gens, counts=reference)
+    kernel = Counter()
+    sift = StabilizerChain._sift
+
+    def counted(self, images, start=0):
+        kernel["sifts"] += 1
+        return sift(self, images, start)
+
+    monkeypatch.setattr(StabilizerChain, "_sift", counted)
+    assert levels(StabilizerChain(degree, gens)) == want
+    assert 0 < kernel["sifts"] < reference["sifts"]
 
 
 @given(subgroups_with_points())
