@@ -40,7 +40,12 @@ from .nonbinary import (
 from .perm import format_permutation
 from .relcomp import relational_complexity
 from .stats import compute_statistics
-from .structures import automorphism_group, is_homogeneous, load_structure
+from .structures import (
+    automorphism_group,
+    check_homogeneity_cap,
+    is_homogeneous,
+    load_structure,
+)
 
 
 def main(argv=None) -> int:
@@ -278,6 +283,7 @@ def cmd_homog(args) -> int:
     if not args.structure_file:
         raise BadParameter("need a structure file or --enumerate N")
     structure = load_structure(args.structure_file)
+    check_homogeneity_cap(structure)  # before the harvest, which ignores the cap
     aut = automorphism_group(structure)
     verdict, failing = is_homogeneous(structure, aut=aut)
     model = {
@@ -325,8 +331,10 @@ def cmd_verify(args) -> int:
         for token in tokens:
             if not token:
                 raise BadParameter(f"--filter {args.filter!r} has an empty token")
+            # a number is compared as text: int() refuses some digit strings
+            number = token.lstrip("0") if token.isascii() and token.isdigit() else None
             selected = {num for num, name, _ in verify.CRITERIA
-                        if (num == int(token) if token.isdigit() else token in name)}
+                        if (str(num) == number if number is not None else token in name)}
             if not selected:
                 raise BadParameter(f"--filter token {token!r} selects no criterion")
             numbers |= selected

@@ -442,6 +442,8 @@ def group_from_json(data) -> PermutationGroup:
     degree = _json_int(data["degree"], "'degree'")
     if degree < 1:
         raise ParseError("'degree' must be a positive integer")
+    if degree > DEGREE_CAP:  # before a generator allocates degree images
+        raise DegreeTooLarge(f"degree {degree} exceeds cap {DEGREE_CAP}")
     has_cycles = "generators" in data
     has_images = "generator_images" in data
     if has_cycles == has_images:
@@ -471,7 +473,9 @@ def load_group(path) -> PermutationGroup:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError covers undecodable bytes, bad JSON and integers past
+    # int()'s digit limit; RecursionError, nesting past the stack
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read group file {path}: {exc}") from exc
     return group_from_json(data)
 

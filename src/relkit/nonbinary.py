@@ -531,6 +531,10 @@ def _test5_scan(group, p, domain, max_fix=None) -> TestOutcome:
             class_of[x] = g
     for g in reps:
         fix_g = set(g.fixed_points())
+        rule1 = rule1_applicable and bool(fix_g)
+        rule2 = max_fix is not None and len(fix_g) == max_fix
+        if not (rule1 or rule2):
+            continue  # neither rule would read the commuting list
         gi = g.images
         powers = {(g ** i).images for i in range(p)}
         # h commutes with g when h[g[i]] == g[h[i]] for every i
@@ -538,7 +542,7 @@ def _test5_scan(group, p, domain, max_fix=None) -> TestOutcome:
             hi for hi in domain
             if tuple_image(gi, hi) == tuple_image(hi, gi) and hi not in powers
         ]
-        if rule1_applicable and fix_g:
+        if rule1:
             alpha = min(fix_g)
             for hi in commuting:
                 h = _trusted(hi)
@@ -550,7 +554,7 @@ def _test5_scan(group, p, domain, max_fix=None) -> TestOutcome:
                         rule="stabilizer_divisibility", p=p, g=g, h=h, alpha=alpha
                     )
                     return TestOutcome("test5", NOT_BINARY, cert)
-        if max_fix is not None and len(fix_g) == max_fix:
+        if rule2:
             for hi in commuting:
                 if class_of.get(hi) != class_of.get(gi):
                     continue

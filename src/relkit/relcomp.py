@@ -108,7 +108,7 @@ class TuplePair:
         for key, text in certs_json.items():
             try:
                 positions = json.loads(key)
-            except json.JSONDecodeError:
+            except (ValueError, RecursionError):
                 raise ParseError(f"cert key {key!r} is not a JSON list") from None
             subset = tuple(_json_int(i, "a cert key's position")
                            for i in _json_list(positions, "a cert key"))

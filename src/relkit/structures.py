@@ -1,10 +1,17 @@
 """Relational structures: induced substructures, one partial-isomorphism
-search behind isomorphisms, automorphisms and homogeneity, the orbit
-structure of a group, and structural relational complexity.
+search behind isomorphisms, automorphisms and homogeneity failures, the
+orbit structure of a group, and structural relational complexity.
 
 A structure is (vertex count, ordered list of relations); a relation is
 (arity >= 2, frozenset of tuples).  Isomorphisms are positional: the
 i-th relation must map onto the i-th relation.
+
+Homogeneity is decided size by size through one-point extensions over
+the orbits of pointwise stabilizers in Aut (the extension property, as
+in Cherlin's classification of the homogeneous directed graphs, Mem. AMS
+1998); partial isomorphisms are listed only at a size that fails, to
+name the failing map.  is_homogeneous gives the proof and the order in
+which that map is chosen.
 """
 
 from __future__ import annotations
@@ -15,12 +22,21 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
-from .errors import ArityTooLarge, BadParameter, CapExceeded, ParseError, TooLarge, VertexOutOfRange
+from .errors import (
+    ArityTooLarge,
+    BadParameter,
+    CapExceeded,
+    InternalInconsistency,
+    ParseError,
+    TooLarge,
+    VertexOutOfRange,
+)
 from .group import PermutationGroup, _json_int, _json_list, orbits_under, tuple_image, tuple_orbits
 from .perm import Permutation
 from .relcomp import relational_complexity
 
 HOMOGENEITY_VERTEX_CAP = 10
+TUPLE_CAP = 10**6  # n^arity tuples enumerated for one arity
 STRUCTURAL_RC_DEGREE_CAP = 8
 STRUCTURAL_RC_ARITY_CAP = 4
 
@@ -75,6 +91,8 @@ class RelationalStructure:
         if not isinstance(data, dict) or "vertices" not in data:
             raise ParseError("structure file needs a 'vertices' field")
         vertices = _json_int(data["vertices"], "'vertices'")
+        if vertices < 1:
+            raise ParseError("'vertices' must be a positive integer")
         if "edges" in data:  # digraph shorthand
             if "relations" in data:
                 raise ParseError("need at most one of 'edges' or 'relations'")
@@ -97,7 +115,9 @@ def load_structure(path) -> RelationalStructure:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError covers undecodable bytes, bad JSON and integers past
+    # int()'s digit limit; RecursionError, nesting past the stack
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read structure file {path}: {exc}") from exc
     return RelationalStructure.from_json(data)
 
@@ -234,38 +254,99 @@ def automorphism_group(structure, generators=()) -> PermutationGroup:
     return PermutationGroup(n, known.generators, _order=known.order())
 
 
+def check_homogeneity_cap(structure):
+    """The homogeneity test's caps: at most HOMOGENEITY_VERTEX_CAP vertices,
+    and at most TUPLE_CAP tuples n^arity per arity (n counted as at least
+    2), since the level checks walk the tuples of every arity.  `relkit
+    homog` checks them before it harvests the automorphism group, which
+    has no cap of its own; is_homogeneous checks them again."""
+    n = structure.vertices
+    if n > HOMOGENEITY_VERTEX_CAP:
+        raise TooLarge(f"homogeneity test capped at {HOMOGENEITY_VERTEX_CAP} vertices")
+    for arity in set(structure.arity_sequence()):
+        # the first test keeps the power small
+        if arity >= TUPLE_CAP.bit_length() or max(n, 2) ** arity > TUPLE_CAP:
+            raise TooLarge(f"homogeneity test over {n}^{arity} tuples is too large")
+
+
+def _subset_representatives(n, size, gens):
+    """The first subset of each Aut-orbit on the subsets of 0..n-1 of the
+    given size, in combinations order, as a sorted tuple."""
+    subsets = [frozenset(c) for c in itertools.combinations(range(n), size)]
+    subset_orbits = orbits_under(
+        subsets, gens, lambda subset, images: frozenset(tuple_image(subset, images))
+    )
+    return [tuple(sorted(src)) for src, _ in subset_orbits]
+
+
 def is_homogeneous(structure, aut=None):
     """Does every isomorphism of induced substructures extend to an
     automorphism?  Returns (True, None) or (False, failing map).
 
-    Source subsets range over Aut-orbit representatives (a pure symmetry
-    reduction); targets range over all subsets of the same size.  An
-    isomorphism between the substructures induced on two subsets is a
-    partial isomorphism of the structure itself, so it is searched there,
-    and it extends exactly when its image tuple lies in the Aut-orbit of
-    the source tuple, closed once per source.  A caller that already
-    holds the automorphism group passes it as aut.
+    Such an isomorphism is a partial isomorphism of the structure itself.
+    Sizes k+1 = 1..n-1 are decided in turn by one-point extensions: for
+    every Aut-orbit representative A of the k-subsets, and every minimum
+    alpha, outside A, of an orbit of the pointwise stabilizer Aut_A, each
+    b outside A for which id_A + {alpha -> b} is a partial isomorphism
+    must lie in alpha^Aut_A.
+
+    Why this is exact once every partial isomorphism on k points extends:
+    let f be one on k+1 points, x a point of its domain and B the other k.
+    Compose f with the inverse of an automorphism s extending f on B, so
+    that it fixes B pointwise; then conjugate it by an automorphism taking
+    B onto its representative A, and by one of Aut_A taking the image of x
+    to the minimum alpha of its orbit.  The result is id_A + {alpha -> b}
+    for some b, a partial isomorphism that extends exactly when f does,
+    and it extends exactly when some automorphism fixes A pointwise and
+    takes alpha to b.  The test lists no partial isomorphism, so its cost
+    grows with the structure, not with |Aut|.
+
+    At the first size that fails, the failing map is the one the plain
+    search meets first: source representatives (sorted) in combinations
+    order, then target subsets in combinations order, then image tuples
+    in order within each.  The first source whose partial isomorphisms
+    into all n points outnumber its tuple orbit, |Aut : Aut_A|, has one
+    that does not extend, and among those the least by (sorted image,
+    image) is returned.  A caller that already holds the automorphism
+    group passes it as aut.
     """
+    check_homogeneity_cap(structure)
     n = structure.vertices
-    if n > HOMOGENEITY_VERTEX_CAP:
-        raise TooLarge(f"homogeneity test capped at {HOMOGENEITY_VERTEX_CAP} vertices")
     if aut is None:
         aut = automorphism_group(structure)
     gens = [g.images for g in aut.generators]
-    for size in range(1, n):
-        subsets = [frozenset(c) for c in itertools.combinations(range(n), size)]
-        subset_orbits = orbits_under(
-            subsets, gens, lambda subset, images: frozenset(tuple_image(subset, images))
-        )
-        for src, _ in subset_orbits:
-            src_sorted = tuple(sorted(src))
-            _, reachable = next(orbits_under([src_sorted], gens, tuple_image))
-            checks = _level_checks(structure, structure, src_sorted)
-            for dst in subsets:
-                for image in _extensions(checks, sorted(dst)):
-                    if image not in reachable:
-                        return False, dict(zip(src_sorted, image))
+    for k in range(n - 1):
+        for src in _subset_representatives(n, k, gens):
+            for alpha, orbit in aut.pointwise_stabilizer(src).orbits():
+                if alpha in src:
+                    continue
+                check = _LevelCheck(_level_entries(structure, structure, src + (alpha,), k))
+                if any(b not in orbit and b not in src and check.passes(src + (b,))
+                       for b in range(n)):
+                    return False, _first_failing_map(structure, aut, k + 1, gens)
     return True, None
+
+
+def _first_failing_map(structure, aut, size, gens):
+    """The failing map of a size at which some partial isomorphism does not
+    extend, in the order is_homogeneous documents."""
+    n = structure.vertices
+    points = range(n)
+    for src in _subset_representatives(n, size, gens):
+        checks = _level_checks(structure, structure, src)
+        found = sum(1 for _ in _extensions(checks, points))
+        if found == aut.order() // aut.pointwise_stabilizer_order(src):
+            continue
+        chain = aut.rebased(src).chain
+        image = min(
+            (image for image in _extensions(checks, points) if chain.descend(image) is None),
+            key=lambda image: (sorted(image), image),
+        )
+        return dict(zip(src, image))
+    raise InternalInconsistency(
+        f"no partial isomorphism on {size} points fails to extend, "
+        "though the one-point extension step failed"
+    )
 
 
 def canonical_structure(group, s) -> RelationalStructure:
@@ -276,7 +357,7 @@ def canonical_structure(group, s) -> RelationalStructure:
     if s > STRUCTURAL_RC_ARITY_CAP:
         raise ArityTooLarge(f"arity capped at {STRUCTURAL_RC_ARITY_CAP}")
     n = group.degree
-    if n ** s > 10**6:
+    if n ** s > TUPLE_CAP:
         raise TooLarge(f"orbit enumeration over {n}^{s} tuples is too large")
     relations = []
     for arity in range(2, s + 1):

@@ -298,12 +298,37 @@ def test_homog_computes_the_automorphism_group_once(capsys, tmp_path, monkeypatc
     assert len(calls) == 1
 
 
+def test_homog_edgeless_structure_at_the_cap(capsys, tmp_path):
+    path = tmp_path / "edgeless10.json"
+    path.write_text(json.dumps({"vertices": 10, "edges": []}))
+    code, out = run(capsys, "homog", str(path), "--format=json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["homogeneous"] is True and data["automorphism_order"] == 3628800
+
+
+def test_homog_checks_the_vertex_cap_before_the_harvest(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "edgeless80.json"
+    path.write_text(json.dumps({"vertices": 80, "edges": []}))
+
+    def refuse(structure, *args, **kwargs):
+        raise AssertionError("the harvest ran on a structure past the cap")
+
+    monkeypatch.setattr(structures, "automorphism_group", refuse)
+    monkeypatch.setattr(cli, "automorphism_group", refuse)
+    assert main(["homog", str(path)]) == 2
+    assert capsys.readouterr().err == "error: homogeneity test capped at 10 vertices\n"
+
+
 @pytest.mark.parametrize("data", [
     {"vertices": 3, "relations": [{"tuples": [[0, 1]]}]},
     {"vertices": 3, "relations": [{"arity": 2, "tuples": 5}]},
     {"vertices": "x", "relations": [{"arity": 2, "tuples": [[0, 1]]}]},
     {"vertices": 3, "relations": [{"arity": 2, "tuples": [[0, 1.5]]}]},
-], ids=["no-arity", "tuples-not-list", "vertices-not-int", "vertex-not-int"])
+    {"vertices": -3, "edges": []},
+    {"vertices": 0, "edges": []},
+], ids=["no-arity", "tuples-not-list", "vertices-not-int", "vertex-not-int",
+        "vertices-negative", "vertices-zero"])
 def test_homog_malformed_structure_is_parse_error(capsys, tmp_path, data):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))

@@ -27,6 +27,7 @@ from relkit.errors import (
     ArityTooLarge,
     BadParameter,
     CapExceeded,
+    InternalInconsistency,
     ParseError,
     TooLarge,
     VertexOutOfRange,
@@ -52,6 +53,12 @@ def test_structure_build_validates():
         RelationalStructure.build(3, [(2, [(0, 3)])])
     with pytest.raises(ParseError, match="arity >= 2"):
         RelationalStructure.build(3, [(1, [(0,)])])
+
+
+@pytest.mark.parametrize("vertices", [0, -3])
+def test_structure_file_needs_a_positive_vertex_count(vertices):
+    with pytest.raises(ParseError, match="'vertices' must be a positive integer"):
+        RelationalStructure.from_json({"vertices": vertices, "edges": []})
 
 
 def test_structure_dedup():
@@ -282,11 +289,94 @@ def test_homogeneity_verdict_matches_bruteforce(structure):
     assert is_homogeneous(structure)[0] == brute_is_homogeneous(structure)
 
 
+def petersen():
+    """The Petersen graph: 2-subsets of 0..4, adjacent when disjoint."""
+    pairs = list(itertools.combinations(range(5), 2))
+    return Digraph.build(10, [(i, j) for i, a in enumerate(pairs)
+                              for j, b in enumerate(pairs) if not set(a) & set(b)])
+
+
+def cube():
+    return Digraph.build(8, [(i, j) for i in range(8) for j in range(8)
+                             if bin(i ^ j).count("1") == 1])
+
+
+@pytest.mark.parametrize("structure", [
+    RelationalStructure.build(9, [(2, [])]),
+    RelationalStructure.build(10, [(2, [])]),
+    RelationalStructure.build(10, [(2, [(0, 0)])]),
+], ids=["edgeless-9", "edgeless-10", "one-loop-10"])
+def test_homogeneity_lists_no_partial_isomorphism_when_it_holds(structure, monkeypatch):
+    # the extension step decides every size from Aut_A-orbits alone, so
+    # the |Aut|-sized search for partial isomorphisms never runs
+    aut = automorphism_group(structure)
+    yielded = []
+    real = structures_module._extensions
+
+    def counting(*args, **kwargs):
+        for images in real(*args, **kwargs):
+            yielded.append(images)
+            yield images
+
+    monkeypatch.setattr(structures_module, "_extensions", counting)
+    assert is_homogeneous(structure, aut=aut) == (True, None)
+    assert yielded == []
+
+
+@pytest.mark.parametrize("structure, failing", [
+    (directed_cycle(5).to_structure(), {0: 2, 2: 0}),
+    (undirected_cycle(6).to_structure(), {0: 0, 2: 3}),
+    (cube().to_structure(), {0: 0, 3: 7}),
+    (composition(undirected_cycle(4), complete(2)).to_structure(), {0: 0, 1: 2}),
+    (petersen().to_structure(), {0: 0, 1: 1, 2: 4}),
+    (canonical_structure(cat.psl2_projective(7).group, 3), {0: 0, 1: 1, 2: 2, 4: 5}),
+], ids=["directed-5-cycle", "6-cycle", "cube", "C4[K2]", "petersen", "psl2(7)-arity-3"])
+def test_first_failure_beyond_single_points(structure, failing):
+    # the first failing size is 2, 3 (Petersen) or 4 (PSL(2,7) on 8 points,
+    # all of whose 3-point partial isomorphisms extend)
+    assert is_homogeneous(structure) == (False, failing)
+    assert induced_is_homogeneous(structure) == (False, failing)
+
+
+def test_failing_map_is_least_by_target_subset_then_image():
+    # on the directed 5-cycle, source (0, 2) has the non-extending image
+    # (0, 3), lexicographically before the returned (2, 0), but on the
+    # later target subset {0, 3}
+    c5 = directed_cycle(5).to_structure()
+    aut = automorphism_group(c5)
+    assert (0, 3) < (2, 0) and sorted((0, 3)) > sorted((2, 0))
+    # 0 -> 0, 2 -> 3 is a partial isomorphism (both pairs are non-adjacent)
+    # that no rotation realises
+    assert induced_substructure(c5, (0, 2)) == induced_substructure(c5, (0, 3))
+    assert aut.transporter((0, 2), (0, 3)) is None
+    assert is_homogeneous(c5, aut=aut) == (False, {0: 2, 2: 0})
+
+
+@pytest.mark.parametrize("graph", [
+    directed_cycle(7), sporadic_h0(), sporadic_h1(),
+    composition(directed_cycle(3), empty(2)), direct_product(directed_cycle(3), complete(2)),
+], ids=["directed-7-cycle", "H0", "H1", "C3[E2]", "C3xK2"])
+def test_homogeneity_matches_reference_beyond_five_vertices(graph):
+    # the hypothesis strategy stops at 5 vertices (the failures above
+    # check the reference on more)
+    structure = graph.to_structure()
+    assert is_homogeneous(structure) == induced_is_homogeneous(structure)
+
+
+def test_failing_map_search_with_nothing_to_find_is_an_internal_inconsistency():
+    k4 = complete(4).to_structure()
+    aut = automorphism_group(k4)
+    gens = [g.images for g in aut.generators]
+    with pytest.raises(InternalInconsistency):
+        structures_module._first_failing_map(k4, aut, 2, gens)
+
+
 def test_level_checks_are_built_once_per_source(monkeypatch):
     # the harvest shares one set of level checks over 0..n-1, and the
-    # homogeneity search one per source orbit representative, across all
-    # target subsets: no level's generator is made twice, and no entry of
-    # a level is built twice
+    # homogeneity test builds one level check per extension it tries (a
+    # source orbit representative A and a point alpha outside it), shared
+    # by every candidate image of alpha: no level's generator is made
+    # twice, and no entry of a level is built twice
     levels, entries = [], []
     real = structures_module._level_entries
 
