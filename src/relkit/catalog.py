@@ -17,7 +17,7 @@ from .errors import (
     DegreeTooLarge,
     InternalInconsistency,
 )
-from .group import PermutationGroup
+from .group import DEGREE_CAP, PermutationGroup
 from .perm import Permutation
 
 
@@ -155,6 +155,9 @@ def k_subsets_action(base, n, k) -> CatalogEntry:
         raise BadParameter("base must be 'Sym' or 'Alt'")
     if not (1 <= k and 2 * k <= n):
         raise BadParameter("need 1 <= k and 2k <= n")
+    # comb(n, k) >= n here, so a huge n is refused before comb is computed
+    if n > DEGREE_CAP or math.comb(n, k) > DEGREE_CAP:
+        raise DegreeTooLarge(f"{k}-subsets of {n} points exceed the degree cap {DEGREE_CAP}")
     points = [tuple(c) for c in itertools.combinations(range(n), k)]
     gens = _sym_gens(n) if base == "Sym" else _alt_gens(n)
     group = _induced_on_points(gens, points)
@@ -204,6 +207,11 @@ def matchings_action(base, n2) -> CatalogEntry:
         raise BadParameter("base must be 'Sym' or 'Alt'")
     if n2 < 4 or n2 % 2 != 0:
         raise BadParameter("need an even degree >= 4")
+    count = 1
+    for m in range(n2 - 1, 1, -2):  # (n2 - 1)!! matchings, refused early
+        count *= m
+        if count > DEGREE_CAP:
+            raise DegreeTooLarge(f"matchings of {n2} points exceed the degree cap {DEGREE_CAP}")
     n = n2 // 2
     points = [frozenset(frozenset(p) for p in m) for m in _matchings(n2)]
     gens = _sym_gens(n2) if base == "Sym" else _alt_gens(n2)

@@ -315,7 +315,10 @@ def cmd_catalog(args) -> int:
         "generators": [format_permutation(g) for g in entry.group.generators],
     }
     if args.output:
-        dump_group(entry.group, args.output)
+        try:
+            dump_group(entry.group, args.output)
+        except OSError as exc:
+            raise BadParameter(f"cannot write {args.output}: {exc}") from exc
         model["written"] = args.output
     emit(args, model)
     return 0

@@ -21,6 +21,7 @@ from .errors import (
     DegreeMismatch,
     DegreeTooLarge,
     LengthMismatch,
+    MalformedSyntax,
     NotInGroup,
     NotTransitive,
     ParseError,
@@ -462,9 +463,7 @@ def group_from_json(data) -> PermutationGroup:
                 if sorted(images) != list(range(degree)):
                     raise ParseError(f"images {images} are not a bijection of 0..{degree - 1}")
                 gens.append(Permutation(images))
-    except ParseError:
-        raise
-    except Exception as exc:
+    except (MalformedSyntax, PointOutOfRange) as exc:
         raise ParseError(str(exc)) from exc
     return PermutationGroup(degree, gens)
 

@@ -255,51 +255,28 @@ def _element_images(group):
     return group.element_images()
 
 
-class _ElementCensus:
+def _element_census(group, primes):
     """Facts about a group's elements from one pass over their image
-    tuples, taken on first demand: the histogram of fixed-point counts
-    (test 1), and, when |G| is at most TEST5_EXHAUSTIVE_CAP, for each
-    prime q the image tuples of the elements of order q in enumeration
-    order, with their largest fixed-point count (test 5; primes=None means
-    every prime dividing |G|).  Each element costs one cycle walk, or,
-    with no prime to sort by, one count of its fixed points.
-    run_battery hands one census to both tests when it runs both without
-    stopping early."""
-
-    def __init__(self, group, primes=None):
-        self._group = group
-        self._primes = primes
-        self._facts = None
-
-    def _take(self):
-        if self._facts is None:
-            order = self._group.order()
-            primes = _prime_divisors(order) if self._primes is None else self._primes
-            by_prime = {q: [] for q in primes} if order <= TEST5_EXHAUSTIVE_CAP else {}
-            max_fix = dict.fromkeys(by_prime, 0)
-            images = self._group.element_images()
-            if not by_prime:
-                fixed = Counter(map(fixed_count, images))
-            else:
-                fixed = Counter()
-                for g in images:
-                    f, o = fixed_count_and_order(g)
-                    fixed[f] += 1
-                    found = by_prime.get(o)
-                    if found is not None:
-                        found.append(g)
-                        if f > max_fix[o]:
-                            max_fix[o] = f
-            self._facts = fixed, {q: (by_prime[q], max_fix[q]) for q in by_prime}
-        return self._facts
-
-    def fixed_counts(self) -> Counter:
-        return self._take()[0]
-
-    def prime_order_elements(self) -> dict:
-        """q -> (image tuples of the elements of order q, their largest
-        fixed-point count)."""
-        return self._take()[1]
+    tuples: (histogram of fixed-point counts, {q: (image tuples of the
+    elements of order q in enumeration order, their largest fixed-point
+    count)} for each prime q in primes).  Each element costs one cycle
+    walk, or, with no prime to sort by, one count of its fixed points."""
+    by_prime = {q: [] for q in primes}
+    max_fix = dict.fromkeys(by_prime, 0)
+    images = group.element_images()
+    if not by_prime:
+        fixed = Counter(map(fixed_count, images))
+    else:
+        fixed = Counter()
+        for g in images:
+            f, o = fixed_count_and_order(g)
+            fixed[f] += 1
+            found = by_prime.get(o)
+            if found is not None:
+                found.append(g)
+                if f > max_fix[o]:
+                    max_fix[o] = f
+    return fixed, {q: (by_prime[q], max_fix[q]) for q in by_prime}
 
 
 def _orbit_count_fixed(fixed, order, ell) -> int:
@@ -365,8 +342,7 @@ def test1_character_bound(group, ell_max=5, _census=None) -> TestOutcome:
     # one pass over the elements serves every ell
     fixed = None
     if order <= ELEMENT_ENUM_CAP:
-        census = _census or _ElementCensus(group, primes=())
-        fixed = census.fixed_counts()
+        fixed = (_census or _element_census(group, ()))[0]
     tuple_budget = 400_000
 
     def r(ell):
@@ -495,8 +471,7 @@ def test5_special_primes(group, p=None, _census=None) -> TestOutcome:
         raise PrimeDoesNotDivide(f"{p} does not divide the group order {order}")
     exhaustive = order <= TEST5_EXHAUSTIVE_CAP
     if exhaustive:
-        census = _census or _ElementCensus(group, primes=primes)
-        p_elements = census.prime_order_elements()
+        p_elements = (_census or _element_census(group, primes))[1]
     for q in primes:
         if exhaustive:
             outcome = _test5_scan(group, q, *p_elements[q])
@@ -727,37 +702,21 @@ def frobenius_test(group, normal_subgroup=None) -> TestOutcome:
     return TestOutcome("frobenius", INCONCLUSIVE, None, {"complement_order": order})
 
 
-def _frobenius_orbit_structure(induced):
-    """(kernel elements, complement) of a Frobenius permutation group.
-
-    The kernel is the identity plus the fixed-point-free elements; it must
-    act regularly.  Raises NotFrobenius when the shape is wrong.
-    """
-    if induced.order() > ELEMENT_ENUM_CAP:
-        raise GroupTooLarge("Frobenius structure scan capped")
-    degree = induced.degree
-    kernel = []
-    for g in induced.elements():
-        if g.is_identity() or not g.fixed_points():
-            kernel.append(g)
-    if len(kernel) != degree:
-        raise NotFrobenius("fixed-point-free part is not regular")
-    comp = induced.pointwise_stabilizer([0])
-    if comp.is_trivial():
-        raise NotFrobenius("complement is trivial")
-    return kernel, comp
-
-
 def _frobenius_subgroup_paths(group, F) -> TestOutcome:
     _check_normal(group, F)
     lam = sorted(F.orbit(0))
     induced, kernel_order = F.induced_action(lam)
-    kernel, comp = _frobenius_orbit_structure(induced)
-    # cyclic-kernel path: explicit pair (1, y, y^a) vs (1, y, y^b)
-    gen = _cyclic_generator(kernel)
-    x = next((c for c in comp.elements() if c.order() > 2), None)
+    if induced.order() > ELEMENT_ENUM_CAP:
+        raise GroupTooLarge("Frobenius structure scan capped")
+    c = _frobenius_complement_order(induced)
+    n = len(lam)
+    # cyclic-kernel path: explicit pair (1, y, y^a) vs (1, y, y^b); the
+    # regular kernel holds every element of order n, since any other
+    # element fixes a point and so has order dividing c < n
+    gen = next((g for g in induced.elements() if g.order() == n), None)
+    comp = induced.pointwise_stabilizer([0])
+    x = next((y for y in comp.elements() if y.order() > 2), None)
     if gen is not None and x is not None:
-        n = len(kernel)
         k = _conjugation_exponent(gen, x, n)
         a = ((1 + k) * pow(k, -1, n)) % n
         b = (1 + k) % n
@@ -773,7 +732,6 @@ def _frobenius_subgroup_paths(group, F) -> TestOutcome:
             )
     # counting path: ceil((|C|-1)(|C|-2)/(|L|-2)) >= min two-point stabilizer;
     # needs F faithful on the orbit so the complement order is F_alpha itself
-    c = comp.order()
     if len(lam) > 2 and c > 2 and kernel_order == 1:
         # |G_{g1,g2}| = |G_g1| / |g2^{G_g1}|, one stabilizer per g1
         pair_orders = []
@@ -791,15 +749,6 @@ def _frobenius_subgroup_paths(group, F) -> TestOutcome:
                  "pigeonhole": lhs},
             )
     return TestOutcome("frobenius", INCONCLUSIVE, None, {"path": "subgroup"})
-
-
-def _cyclic_generator(kernel_elements):
-    """A generator if the kernel is cyclic (as a permutation group), else None."""
-    n = len(kernel_elements)
-    for g in kernel_elements:
-        if g.order() == n:
-            return g
-    return None
 
 
 def _conjugation_exponent(gen, x, n):
@@ -1009,11 +958,14 @@ def run_battery(group, tests=BATTERY_ORDER, stop_at_first=True, prime=None,
     if trials < 0:
         raise BadParameter(f"trial count must be >= 0, not {trials}")
     # tests 1 and 5 share one pass over the elements, dropped once both ran;
-    # only when both are sure to run, since a stop at tests 1-4 would leave
-    # test 5's share of the pass wasted
+    # only when both are sure to run and read it: a stop at tests 1-4 would
+    # leave test 5's share wasted, and above TEST5_EXHAUSTIVE_CAP test 5
+    # samples instead
     sharing = {"1", "5"}
-    census = (_ElementCensus(group)
-              if not stop_at_first and sharing <= set(tests) else None)
+    census = None
+    if (not stop_at_first and sharing <= set(tests) and group.is_transitive()
+            and group.order() <= TEST5_EXHAUSTIVE_CAP):
+        census = _element_census(group, _prime_divisors(group.order()))
     outcomes = []
 
     def run(name, fn):

@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -372,6 +373,48 @@ def test_catalog_build_bad_parameters_is_an_input_error(capsys, params):
     code, out = run(capsys, "catalog", "build", *params)
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("params", [["k_subsets", "Sym", "40", "20"], ["matchings", "Sym", "30"]],
+                         ids=["k_subsets", "matchings"])
+@pytest.mark.parametrize("strict", [False, True], ids=["plain", "strict"])
+def test_catalog_build_checks_the_degree_before_listing_points(capsys, monkeypatch, params, strict):
+    # C(40, 20) subsets and 29!! matchings: the degree cap refuses both
+    # before a single point is listed
+    def listed(*args):
+        pytest.fail("the points were listed before the degree was checked")
+
+    monkeypatch.setattr(cat.itertools, "combinations", listed)
+    monkeypatch.setattr(cat, "_matchings", listed)
+    start = time.perf_counter()
+    code = main(["catalog", "build", *params, *(["--strict"] if strict else [])])
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert code == (3 if strict else 2)
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "degree cap" in captured.err
+
+
+def test_catalog_build_to_an_unwritable_path_is_an_input_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code = main(["catalog", "build", "cyclic_regular", "5", "-o", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert not target.exists()
+
+
+def test_internal_fault_while_reading_a_group_is_not_an_input_error(capsys, monkeypatch, s4_file):
+    from relkit import group as group_module
+    from relkit.errors import InternalInconsistency
+
+    def broken(text, degree):
+        raise InternalInconsistency("parser invariant")
+
+    monkeypatch.setattr(group_module, "parse_permutation", broken)
+    assert main(["rc", s4_file]) == 4
+    assert capsys.readouterr().err == "error: internal inconsistency: parser invariant\n"
 
 
 def test_parse_error_exit_code(capsys, tmp_path):

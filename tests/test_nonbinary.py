@@ -12,7 +12,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from relkit import catalog as cat
 from relkit.chain import StabilizerChain
-from relkit.cli import main
 from relkit.closure import k_closure
 from relkit.errors import (
     AbelianInput,
@@ -25,7 +24,7 @@ from relkit.errors import (
     NotTransitive,
     PrimeDoesNotDivide,
 )
-from relkit.group import PermutationGroup, dump_group
+from relkit.group import PermutationGroup
 from relkit.oracle import mulclose
 from relkit import nonbinary as nb
 from relkit.nonbinary import (
@@ -393,12 +392,8 @@ def brute_census(group):
 
 def check_census(group):
     fixed, by_prime = brute_census(group)
-    census = nb._ElementCensus(group)
-    assert census.fixed_counts() == fixed
-    assert census.prime_order_elements() == by_prime
-    alone = nb._ElementCensus(group, primes=())  # test 1's census
-    assert alone.fixed_counts() == fixed
-    assert alone.prime_order_elements() == {}
+    assert nb._element_census(group, nb._prime_divisors(group.order())) == (fixed, by_prime)
+    assert nb._element_census(group, ()) == (fixed, {})  # test 1's census
     assert list(group.element_images()) == [g.images for g in group.elements()]
 
 
@@ -548,15 +543,14 @@ def test5_wreath_consistent_with_oracle():
     (("alternating_natural", "6"), "fixed_point_drop"),
     (("psl2", "13"), "stabilizer_divisibility"),
 ], ids=["alt6", "psl2_13"])
-def test5_tests_all_output_is_pinned(entry, rule, tmp_path, capsys):
-    # `tests --all --format=json`, byte for byte, on one entry for each
-    # test 5 rule; frozen under tests/golden/
-    path = tmp_path / "group.json"
-    dump_group(cat.build_entry(*entry).group, path)
-    assert main(["tests", str(path), "--all", "--format=json"]) == 0
-    text = capsys.readouterr().out
-    assert text == (GOLDEN / f"{'_'.join(entry)}.tests_all.json").read_text()
-    test5 = next(o for o in json.loads(text) if o["test"] == "test5")
+def test5_tests_all_output_is_pinned(entry, rule):
+    # one catalog entry for each test 5 rule; tests/test_golden_catalog.py
+    # pins `tests --all --format=json` on every entry byte for byte
+    label = cat.build_entry(*entry).label
+    lines = (GOLDEN / "catalog.tests_all.jsonl").read_text().splitlines()
+    record = next(r for r in map(json.loads, lines) if r["entry"] == label)
+    test5 = next(o for o in record["output"] if o["test"] == "test5")
+    assert test5["verdict"] == "NotBinary"
     assert test5["certificate"]["rule"] == rule
 
 
@@ -646,6 +640,34 @@ def test_frobenius_counting_path():
                            "min_two_point_stabilizer": 6, "pigeonhole": 6}
     # no certificate: the verdict cannot be re-checked
     assert not out.verify(g)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_frobenius_kernel_generator_matches_a_scan_of_fixed_point_free_elements(p, monkeypatch):
+    # C_p : C_d inside AGL1(p) for every d | p - 1, d > 1: the kernel
+    # generator, the first element of order p, must be the first of order
+    # p among the kernel's elements, the identity and the fixed-point-free
+    group = cat.agl1(p).group
+    root = cat._primitive_root(p)
+    t = Permutation((x + 1) % p for x in range(p))
+    seen = []
+    original = nb._conjugation_exponent
+    monkeypatch.setattr(nb, "_conjugation_exponent",
+                        lambda gen, x, n: seen.append(gen) or original(gen, x, n))
+    for d in (d for d in range(2, p) if (p - 1) % d == 0):
+        s = Permutation(pow(root, (p - 1) // d, p) * x % p for x in range(p))
+        F = PermutationGroup(p, [t, s])
+        assert F.order() == p * d
+        seen.clear()
+        out = frobenius_test(group, normal_subgroup=F)
+        induced, _ = F.induced_action(range(p))
+        brute = next(g for g in induced.elements()
+                     if (g.is_identity() or not g.fixed_points()) and g.order() == p)
+        # a complement of order 2 has no element of order > 2 to conjugate by
+        assert seen == ([brute] if d > 2 else [])
+        assert out.not_binary == (d > 2)
+        if d > 2:
+            assert out.details["path"] == "cyclic_kernel" and out.verify(group)
 
 
 def test_frobenius_subgroup_requires_normal():
@@ -827,6 +849,23 @@ def test_battery_tests_1_and_5_share_one_element_pass(monkeypatch, builder):
     nb.test1_character_bound(group, 4)
     nb.test5_special_primes(group, 2)
     assert passes[0] == 3
+
+
+@pytest.mark.parametrize("builder, cap, passes", [
+    (lambda: cat.psl2_projective(7).group, nb.TEST5_EXHAUSTIVE_CAP, 1),
+    (lambda: cat.psl2_projective(7).group, 100, 1),
+    (lambda: cat.intransitive_join(3).group, nb.TEST5_EXHAUSTIVE_CAP, 0),
+], ids=["scanned", "sampled", "intransitive"])
+def test_full_battery_makes_at_most_one_element_pass(monkeypatch, builder, cap, passes):
+    # under a cap of 100, psl2(7) (order 168) lies between the test 5 cap
+    # and ELEMENT_ENUM_CAP: test 5 samples, and test 1 alone reads the pass
+    monkeypatch.setattr(nb, "TEST5_EXHAUSTIVE_CAP", cap)
+    group = builder()
+    calls = _counting_passes(monkeypatch, group)
+    outcomes = run_battery(group, stop_at_first=False, trials=100)
+    assert len(outcomes) == len(nb.BATTERY_ORDER)
+    assert calls[0] == passes
+    assert outcomes[4].details.get("sampled", False) == (cap == 100)
 
 
 def test_battery_stopping_at_first_keeps_separate_passes(monkeypatch):
