@@ -1,24 +1,28 @@
 """Constructors for the standard example actions, with expected values
 where a closed formula is known.
 
-Entries record the expected relational complexity together with a short
-rule tag naming the formula it came from; expected_rc stays None where
-only an upper bound is known (recorded separately).
+Entries record the expected relational complexity where a closed formula
+gives it; expected_rc stays None where only an upper bound is known
+(recorded separately).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
+    AbelianInput,
     BadParameter,
     DegreeTooLarge,
+    GroupTooLarge,
     InternalInconsistency,
 )
 from .group import DEGREE_CAP, PermutationGroup
 from .perm import Permutation
+
+DIAGONAL_ORDER_CAP = 360
 
 
 @dataclass
@@ -27,12 +31,10 @@ class CatalogEntry:
     parameters: dict
     group: PermutationGroup
     expected_rc: int | None = None
-    expected_rc_rule: str | None = None
     rc_upper_bound: int | None = None
     expected_primitive: bool | None = None
     expected_order: int | None = None
     in_subset_product_family: bool = False
-    notes: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.expected_order is not None and self.group.order() != self.expected_order:
@@ -77,7 +79,6 @@ def symmetric_natural(n) -> CatalogEntry:
         parameters={"n": n},
         group=group,
         expected_rc=2 if n >= 2 else None,
-        expected_rc_rule="complete-directed-graph",
         expected_primitive=True if n >= 2 else None,
         expected_order=math.factorial(n),
         in_subset_product_family=True,
@@ -93,7 +94,6 @@ def alternating_natural(n) -> CatalogEntry:
         parameters={"n": n},
         group=group,
         expected_rc=max(2, n - 1),
-        expected_rc_rule="natural-alternating",
         expected_primitive=True,
         expected_order=math.factorial(n) // 2,
         in_subset_product_family=True,
@@ -109,7 +109,6 @@ def cyclic_regular(n) -> CatalogEntry:
         parameters={"n": n},
         group=group,
         expected_rc=2,
-        expected_rc_rule="regular-action",
         expected_primitive=_is_prime(n),
         expected_order=n,
     )
@@ -126,7 +125,6 @@ def dihedral_polygon(n) -> CatalogEntry:
         parameters={"n": n},
         group=group,
         expected_rc=2,
-        expected_rc_rule="stabilizer-of-size-2-with-regular-normal-subgroup",
         expected_primitive=_is_prime(n) and n % 2 == 1,
         expected_order=2 * n,
     )
@@ -163,7 +161,6 @@ def k_subsets_action(base, n, k) -> CatalogEntry:
     group = _induced_on_points(gens, points)
     if base == "Sym":
         expected = 2 + int(math.log2(k))
-        rule = "k-subsets-symmetric"
     else:
         if k == 1:
             expected = n - 1
@@ -173,14 +170,12 @@ def k_subsets_action(base, n, k) -> CatalogEntry:
             expected = n - 2
         else:
             expected = n - 3
-        rule = "k-subsets-alternating"
     order = math.factorial(n) // (1 if base == "Sym" else 2)
     return CatalogEntry(
         name="k_subsets",
         parameters={"base": base, "n": n, "k": k},
         group=group,
         expected_rc=expected,
-        expected_rc_rule=rule,
         expected_order=order if n >= 3 else None,
         in_subset_product_family=True,
     )
@@ -218,7 +213,6 @@ def matchings_action(base, n2) -> CatalogEntry:
     group = _induced_on_points(gens, points)  # faithful image of the action
     if base == "Sym":
         expected = n
-        rule = "matchings-symmetric"
     else:
         if n == 2:
             expected = 2
@@ -228,13 +222,11 @@ def matchings_action(base, n2) -> CatalogEntry:
             expected = n
         else:
             expected = n - 1
-        rule = "matchings-alternating"
     return CatalogEntry(
         name="matchings",
         parameters={"base": base, "degree": n2},
         group=group,
         expected_rc=expected,
-        expected_rc_rule=rule,
     )
 
 
@@ -276,17 +268,16 @@ def product_action(m, r) -> CatalogEntry:
         ))
     group = PermutationGroup(degree, gens)
     if m != 2:
-        expected, rule = None, None
+        expected = None
     elif r <= 3:
-        expected, rule = 2, "homogeneous-orbital-structure"
+        expected = 2
     else:
-        expected, rule = 2 + int(math.log2(r)), "product-action-two-letters"
+        expected = 2 + int(math.log2(r))
     return CatalogEntry(
         name="product_action",
         parameters={"m": m, "r": r},
         group=group,
         expected_rc=expected,
-        expected_rc_rule=rule,
         rc_upper_bound=m + int(math.log2(r)),
         expected_primitive=(m >= 3),
         expected_order=math.factorial(m) ** r * math.factorial(r),
@@ -310,7 +301,6 @@ def affine_orthogonal(q, dim) -> CatalogEntry:
             parameters={"q": q, "dim": 1},
             group=dihedral_polygon(q).group,  # x -> x+1 and x -> -x
             expected_rc=2,
-            expected_rc_rule="anisotropic-form-witt-extension",
             expected_primitive=True,
             expected_order=2 * q,
         )
@@ -353,10 +343,8 @@ def affine_orthogonal(q, dim) -> CatalogEntry:
         parameters={"q": q, "dim": 2},
         group=group,
         expected_rc=2,
-        expected_rc_rule="anisotropic-form-witt-extension",
         expected_primitive=True,
         expected_order=degree * 2 * (q + 1),
-        notes={"form": f"x^2 + {b}xy + {c}y^2"},
     )
 
 
@@ -416,17 +404,39 @@ def psl2_projective(p) -> CatalogEntry:
     )
 
 
+def holomorph_like_action(T: PermutationGroup):
+    """Action on the element set of T generated by right translations,
+    conjugations and inversion; the identity is point 0.
+
+    Returns (group, elements list) where elements[i] is the permutation
+    of T labeled by point i.
+    """
+    if T.order() > DIAGONAL_ORDER_CAP:
+        raise GroupTooLarge(f"group order {T.order()} exceeds cap {DIAGONAL_ORDER_CAP}")
+    if all(a * b == b * a for a in T.generators for b in T.generators):
+        raise AbelianInput("diagonal-type construction needs a nonabelian group")
+    elements = sorted(T.elements(), key=lambda g: g.images)
+    if not elements[0].is_identity():
+        raise InternalInconsistency("identity must be the first element")
+    index = {g: i for i, g in enumerate(elements)}
+    n = len(elements)
+    gens = []
+    for t in T.generators:
+        gens.append(Permutation(index[x * t] for x in elements))  # right translation
+        tinv = t.inverse()
+        gens.append(Permutation(index[tinv * x * t] for x in elements))  # conjugation
+    gens.append(Permutation(index[x.inverse()] for x in elements))  # inversion
+    return PermutationGroup(n, gens), elements
+
+
 def diagonal_type_on_group(T: PermutationGroup) -> CatalogEntry:
     """Action on the element set of T by right translations, conjugations
     and inversion; the point stabilizer of the identity contains Inn(T)."""
-    from .nonbinary import holomorph_like_action
-
     action, _ = holomorph_like_action(T)
     return CatalogEntry(
         name="diagonal_type",
         parameters={"order": T.order()},
         group=action,
-        notes={"points_are_group_elements": True},
     )
 
 
@@ -450,7 +460,6 @@ def intransitive_join(n) -> CatalogEntry:
         parameters={"n": n},
         group=group,
         expected_rc=n,
-        expected_rc_rule="natural-orbit-plus-sign-orbit",
         expected_order=math.factorial(n),
     )
 

@@ -45,14 +45,6 @@ class NotFrobenius(RelkitError):
     """The action does not satisfy the Frobenius hypotheses."""
 
 
-class ConditionFailed(RelkitError):
-    """A certificate hypothesis failed; the message names the condition."""
-
-    def __init__(self, condition, message=""):
-        self.condition = condition
-        super().__init__(message or condition)
-
-
 class AbelianInput(RelkitError):
     """Operation requires a nonabelian group."""
 

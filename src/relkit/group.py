@@ -468,15 +468,20 @@ def group_from_json(data) -> PermutationGroup:
     return PermutationGroup(degree, gens)
 
 
-def load_group(path) -> PermutationGroup:
+def _read_json(path, kind):
+    """The JSON value in the UTF-8 file at path; any failure to read it is
+    a ParseError naming the kind of file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     # ValueError covers undecodable bytes, bad JSON and integers past
     # int()'s digit limit; RecursionError, nesting past the stack
     except (OSError, ValueError, RecursionError) as exc:
-        raise ParseError(f"cannot read group file {path}: {exc}") from exc
-    return group_from_json(data)
+        raise ParseError(f"cannot read {kind} file {path}: {exc}") from exc
+
+
+def load_group(path) -> PermutationGroup:
+    return group_from_json(_read_json(path, "group"))
 
 
 def dump_group(group: PermutationGroup, path):

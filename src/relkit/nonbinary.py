@@ -15,6 +15,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .catalog import holomorph_like_action
 from .closure import k_closure
 from .errors import (
     BadParameter,
@@ -25,8 +26,6 @@ from .errors import (
     NotNormal,
     NotTransitive,
     PrimeDoesNotDivide,
-    ConditionFailed,
-    AbelianInput,
 )
 from .group import PermutationGroup, orbits_under, tuple_image
 from .perm import (
@@ -50,7 +49,6 @@ ELEMENT_ENUM_CAP = 200_000
 TEST3_DEGREE_CAP = 10**4
 TEST5_EXHAUSTIVE_CAP = 10**5
 TEST5_SAMPLE_TRIALS = 1000
-DIAGONAL_ORDER_CAP = 360
 DEFAULT_TEST6_TRIALS = 100_000
 DEFAULT_TEST6_SEED = 0xC4E2
 
@@ -805,73 +803,7 @@ def _contains_alternating(group) -> bool:
     return all(group.contains(g) for g in gens)
 
 
-def check_2transitive_orbit(subgroup: PermutationGroup, omega) -> bool:
-    """Does the subgroup act 2-transitively on the orbit of omega?"""
-    orbit = subgroup.orbit(omega)
-    if len(orbit) < 2:
-        return False
-    induced, _ = subgroup.induced_action(sorted(orbit))
-    return _distinct_pair_transitive(induced)
-
-
-# -- strongly-non-binary certificates ---------------------------------------
-
-
-def verify_snb_certificate(group, tau, etas) -> TestOutcome:
-    """Checks the disjoint-support factorization certificate:
-    tau*eta_i in G with supports disjoint from tau's, every point fixed by
-    some eta_i, and tau outside G.  Emits the full-length witness pair
-    (identity tuple, its tau-image)."""
-    n = group.degree
-    if tau.degree != n or any(e.degree != n for e in etas):
-        raise ConditionFailed("degree", "certificate degree mismatch")
-    support_tau = tau.support()
-    for i, eta in enumerate(etas):
-        if support_tau & eta.support():
-            raise ConditionFailed(
-                "disjoint_supports", f"eta[{i}] overlaps the support of tau"
-            )
-    for i, eta in enumerate(etas):
-        if not group.contains(tau * eta):
-            raise ConditionFailed("products_in_group", f"tau*eta[{i}] is not in the group")
-    for point in range(n):
-        if not any(eta(point) == point for eta in etas):
-            raise ConditionFailed("coverage", f"no eta fixes point {point + 1}")
-    if group.contains(tau):
-        raise ConditionFailed("tau_outside", "tau lies in the group")
-    pair = full_tuple_pair(group, tau, 2)
-    return TestOutcome(
-        "snb_certificate", NOT_BINARY, WitnessPairCertificate(pair),
-        {"tau": format_permutation(tau)},
-    )
-
-
 # -- diagonal-type patch ------------------------------------------------------
-
-
-def holomorph_like_action(T: PermutationGroup):
-    """Action on the element set of T generated by right translations,
-    conjugations and inversion; the identity is point 0.
-
-    Returns (group, elements list) where elements[i] is the permutation
-    of T labeled by point i.
-    """
-    if T.order() > DIAGONAL_ORDER_CAP:
-        raise GroupTooLarge(f"group order {T.order()} exceeds cap {DIAGONAL_ORDER_CAP}")
-    if all(a * b == b * a for a in T.generators for b in T.generators):
-        raise AbelianInput("diagonal-type construction needs a nonabelian group")
-    elements = sorted(T.elements(), key=lambda g: g.images)
-    if not elements[0].is_identity():
-        raise InternalInconsistency("identity must be the first element")
-    index = {g: i for i, g in enumerate(elements)}
-    n = len(elements)
-    gens = []
-    for t in T.generators:
-        gens.append(Permutation(index[x * t] for x in elements))  # right translation
-        tinv = t.inverse()
-        gens.append(Permutation(index[tinv * x * t] for x in elements))  # conjugation
-    gens.append(Permutation(index[x.inverse()] for x in elements))  # inversion
-    return PermutationGroup(n, gens), elements
 
 
 def diagonal_patch_witness(T: PermutationGroup) -> TestOutcome:

@@ -17,7 +17,6 @@ which that map is chosen.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -31,7 +30,8 @@ from .errors import (
     TooLarge,
     VertexOutOfRange,
 )
-from .group import PermutationGroup, _json_int, _json_list, orbits_under, tuple_image, tuple_orbits
+from .group import (PermutationGroup, _json_int, _json_list, _read_json, orbits_under,
+                    tuple_image, tuple_orbits)
 from .perm import Permutation
 from .relcomp import relational_complexity
 
@@ -112,14 +112,7 @@ class RelationalStructure:
 
 
 def load_structure(path) -> RelationalStructure:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    # ValueError covers undecodable bytes, bad JSON and integers past
-    # int()'s digit limit; RecursionError, nesting past the stack
-    except (OSError, ValueError, RecursionError) as exc:
-        raise ParseError(f"cannot read structure file {path}: {exc}") from exc
-    return RelationalStructure.from_json(data)
+    return RelationalStructure.from_json(_read_json(path, "structure"))
 
 
 def induced_substructure(structure, subset) -> RelationalStructure:

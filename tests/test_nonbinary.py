@@ -15,7 +15,6 @@ from relkit.chain import StabilizerChain
 from relkit.closure import k_closure
 from relkit.errors import (
     AbelianInput,
-    ConditionFailed,
     DegreeTooLarge,
     GroupTooLarge,
     InternalInconsistency,
@@ -28,13 +27,11 @@ from relkit.group import PermutationGroup
 from relkit.oracle import mulclose
 from relkit import nonbinary as nb
 from relkit.nonbinary import (
-    check_2transitive_orbit,
     check_beautiful,
     diagonal_patch_witness,
     frobenius_test,
     holomorph_like_action,
     run_battery,
-    verify_snb_certificate,
 )
 from relkit import perm
 from relkit.perm import Permutation, parse_permutation
@@ -292,15 +289,21 @@ def brute_test3_pairs(group):
     not equivalent, by a scan of the elements."""
     elements = mulclose(group.generators, group.degree)
 
-    def images(c, fixed):
-        return {e[c] for e in elements if all(e[x] == x for x in fixed)}
+    def orbit_map(fixed):
+        """Each point's images under the elements that fix every point of fixed."""
+        stabilizer = [e for e in elements if all(e[x] == x for x in fixed)]
+        return [{e[c] for e in stabilizer} for c in range(group.degree)]
 
-    return {
-        (b, c, c2)
-        for b in range(1, group.degree)
-        for c in range(group.degree) if c not in (0, b)
-        for c2 in (images(c, [0]) & images(c, [b])) - images(c, [0, b])
-    }
+    at_0 = orbit_map([0])
+    pairs = set()
+    for b in range(1, group.degree):
+        at_b, at_0b = orbit_map([b]), orbit_map([0, b])
+        pairs |= {
+            (b, c, c2)
+            for c in range(group.degree) if c not in (0, b)
+            for c2 in (at_0[c] & at_b[c]) - at_0b[c]
+        }
+    return pairs
 
 
 # Sym(4) on 2-subsets, labelled so that the stabilizer of 0 fixes 1: the
@@ -706,72 +709,6 @@ def test_beautiful_not_normal():
     c3 = PermutationGroup(4, [parse_permutation("(1 2 3)", 4)])
     with pytest.raises(NotNormal):
         check_beautiful(g, c3, [0, 1, 2])
-
-
-def test_2transitive_orbit_check():
-    assert check_2transitive_orbit(cat.symmetric_natural(3).group, 0)
-    assert not check_2transitive_orbit(cat.cyclic_regular(4).group, 0)
-    assert not check_2transitive_orbit(cat.dihedral_polygon(5).group, 0)
-
-
-# -- strongly-non-binary certificates ------------------------------------------------------
-
-def snb_example():
-    """<(1 2)(3 4), (1 2)(5 6)> with tau = (1 2): a valid certificate."""
-    group = G(6, "(1 2)(3 4)", "(1 2)(5 6)")
-    tau = parse_permutation("(1 2)", 6)
-    etas = [parse_permutation("(3 4)", 6), parse_permutation("(5 6)", 6)]
-    return group, tau, etas
-
-
-def test_snb_certificate_accepts():
-    group, tau, etas = snb_example()
-    out = verify_snb_certificate(group, tau, etas)
-    assert out.not_binary
-    assert out.verify(group)
-    rc, _ = relational_complexity(group)
-    assert rc > 2
-
-
-def test_snb_certificate_rejects_tau_in_group():
-    group, tau, etas = snb_example()
-    inside = parse_permutation("(1 2)(3 4)", 6)
-    with pytest.raises(ConditionFailed) as err:
-        verify_snb_certificate(group, inside, [Permutation.identity(6)])
-    assert err.value.condition == "tau_outside"
-
-
-def test_snb_certificate_rejects_overlap():
-    group, tau, etas = snb_example()
-    with pytest.raises(ConditionFailed) as err:
-        verify_snb_certificate(group, tau, [parse_permutation("(2 3)", 6)])
-    assert err.value.condition == "disjoint_supports"
-
-
-def test_snb_certificate_rejects_uncovered_point():
-    group, tau, _ = snb_example()
-    with pytest.raises(ConditionFailed) as err:
-        verify_snb_certificate(group, tau, [parse_permutation("(3 4)", 6)])
-    assert err.value.condition in ("coverage", "products_in_group")
-
-
-def test_snb_no_instance_for_alt4():
-    # Alt(4) natural is strongly non-binary, but no disjoint-support
-    # factorization certificate exists: exhaustive scan of odd tau
-    a4 = cat.alternating_natural(4).group
-    odd = [Permutation(p) for p in itertools.permutations(range(4))
-           if not a4.contains(Permutation(p)) and not Permutation(p).is_identity()]
-    for tau in odd:
-        support = tau.support()
-        outside = [p for p in range(4) if p not in support]
-        # candidate etas live on the complement of tau's support
-        candidates = [Permutation(p) for p in itertools.permutations(range(4))
-                      if Permutation(p).support() <= set(outside)]
-        usable = [e for e in candidates if a4.contains(tau * e)]
-        covered = set()
-        for e in usable:
-            covered |= set(e.fixed_points())
-        assert covered != set(range(4)), "no valid certificate should exist"
 
 
 # -- diagonal-type patch -----------------------------------------------------------------
