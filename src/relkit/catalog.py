@@ -2,8 +2,7 @@
 where a closed formula is known.
 
 Entries record the expected relational complexity where a closed formula
-gives it; expected_rc stays None where only an upper bound is known
-(recorded separately).
+gives it; expected_rc stays None where only an upper bound is known.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ class CatalogEntry:
     parameters: dict
     group: PermutationGroup
     expected_rc: int | None = None
-    rc_upper_bound: int | None = None
     expected_primitive: bool | None = None
     expected_order: int | None = None
     in_subset_product_family: bool = False
@@ -278,7 +276,6 @@ def product_action(m, r) -> CatalogEntry:
         parameters={"m": m, "r": r},
         group=group,
         expected_rc=expected,
-        rc_upper_bound=m + int(math.log2(r)),
         expected_primitive=(m >= 3),
         expected_order=math.factorial(m) ** r * math.factorial(r),
         in_subset_product_family=True,

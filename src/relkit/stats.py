@@ -70,10 +70,13 @@ class ProfileSearch:
                 self.b, self.b_wit = depth, points
             if depth > self.irr:
                 self.irr, self.irr_wit = depth, points
-        if depth > self.h and self.lattice.is_independent(fset, stab.order()):
-            self.h, self.h_wit = depth, points
-        if trivial and depth > self.big_b and self.lattice.is_independent(fset, stab.order()):
-            self.big_b, self.big_b_wit = depth, points
+        deeper_h = depth > self.h
+        deeper_b = trivial and depth > self.big_b
+        if (deeper_h or deeper_b) and self.lattice.is_independent(fset, stab.order()):
+            if deeper_h:
+                self.h, self.h_wit = depth, points
+            if deeper_b:
+                self.big_b, self.big_b_wit = depth, points
 
     def result(self) -> BaseHeightProfile:
         if self.b is None:

@@ -56,10 +56,9 @@ def test_matchings_faithful_image():
 def test_product_action_entry():
     e = cat.product_action(2, 3)
     assert e.group.degree == 8 and e.group.order() == 48
-    assert e.rc_upper_bound == 3
     e = cat.product_action(3, 2)
     assert e.group.degree == 9 and e.group.order() == 72
-    assert e.expected_rc is None and e.rc_upper_bound == 4
+    assert e.expected_rc is None
 
 
 def test_affine_orthogonal_dim1():

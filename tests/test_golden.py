@@ -1,9 +1,8 @@
-"""Golden outputs: `--format=json` of rc, stats, tests --all and closure
--k 2/-k 3 on a few small catalog entries, and of homog on a few digraphs
-and with --enumerate 4, compared byte for byte with files frozen under
-tests/golden/.  The rc, stats and tests --all outputs are read from the
-catalog corpus that tests/test_golden_catalog.py keeps, so each is frozen
-in one place.
+"""Golden outputs: `--format=json` of closure -k 2/-k 3 on a few small
+catalog entries, and of homog on a few digraphs and with --enumerate 4,
+compared byte for byte with files frozen under tests/golden/.  The rc,
+stats and tests --all outputs of every default entry are pinned by
+tests/test_golden_catalog.py.
 
 The outputs are part of the contract (certificates, witnesses and
 closure generators are printed in a fixed order), so a refactor that
@@ -11,8 +10,6 @@ changes any byte fails here.  Regenerate only after checking that a
 change of output is intended:
 
     PYTHONPATH=src python tests/test_golden.py
-
-(which leaves the catalog corpus to tests/test_golden_catalog.py).
 """
 
 import contextlib
@@ -39,9 +36,7 @@ ENTRIES = [
     ("intransitive_join", "3"),
 ]
 
-# commands whose outputs on every default entry are in the catalog corpus
-CORPUS = {("rc",): "rc", ("stats",): "stats", ("tests", "--all"): "tests_all"}
-COMMANDS = [*CORPUS, ("closure", "-k", "2"), ("closure", "-k", "3")]
+COMMANDS = [("closure", "-k", "2"), ("closure", "-k", "3")]
 
 # homog on these digraphs; the directed 5-cycle is not homogeneous, so its
 # failing map is pinned too
@@ -79,15 +74,6 @@ def _enumerate_output():
     return _run(["homog", "--enumerate", str(HOMOG_ENUMERATE)])
 
 
-def _expected(entry, command):
-    if command not in CORPUS:
-        return (GOLDEN / f"{_slug(entry)}.{_slug(command)}.json").read_text()
-    label = cat.build_entry(*entry).label
-    lines = (GOLDEN / f"catalog.{CORPUS[command]}.jsonl").read_text().splitlines()
-    record = next(r for r in map(json.loads, lines) if r["entry"] == label)
-    return json.dumps(record["output"], indent=2) + "\n"
-
-
 def _group_file(entry, directory):
     path = pathlib.Path(directory) / f"{_slug(entry)}.json"
     if not path.exists():
@@ -105,7 +91,7 @@ def group_dir(tmp_path_factory):
 def test_output_matches_golden(entry, command, group_dir):
     code, text = _output(command, _group_file(entry, group_dir))
     assert code == 0
-    assert text == _expected(entry, command)
+    assert text == (GOLDEN / f"{_slug(entry)}.{_slug(command)}.json").read_text()
 
 
 @pytest.mark.parametrize("name", HOMOG_DIGRAPHS)
@@ -128,7 +114,7 @@ def regenerate():
     with tempfile.TemporaryDirectory() as directory:
         for entry in ENTRIES:
             group_file = _group_file(entry, directory)
-            for command in (c for c in COMMANDS if c not in CORPUS):
+            for command in COMMANDS:
                 code, text = _output(command, group_file)
                 if code != 0:
                     sys.exit(f"{entry} {command} exited {code}")

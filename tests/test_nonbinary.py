@@ -94,12 +94,16 @@ def _counting_walks(monkeypatch, *modules):
 
 # -- test 1 -------------------------------------------------------------------
 
-def test1_flags_alt5_at_four():
+def test1_flags_alt5_at_four(monkeypatch):
+    # the search counts by the fixed-point sum, the certificate by tuples
+    by_tuples = counting(monkeypatch, nb, "_orbit_count_tuples")
     out = nb.test1_character_bound(cat.alternating_natural(5).group)
     assert out.not_binary
     assert out.certificate.ell == 4
     assert out.certificate.r_ell == 2 and out.certificate.r_2 == 1
+    assert by_tuples[0] == 0
     assert out.verify(cat.alternating_natural(5).group)
+    assert by_tuples[0] == 2  # r_2 and r_4
 
 
 def test1_inconclusive_on_sym5():
@@ -116,13 +120,15 @@ def test1_inconclusive_on_c5():
 
 def test1_enumerates_the_group_once(monkeypatch):
     # every ell comes from one histogram of fixed-point counts, counted
-    # without walking any cycles
+    # without walking any cycles, and from no tuple closure
     g = cat.psl2_projective(11).group
     passes = _counting_passes(monkeypatch)
     walks = _counting_walks(monkeypatch, nb, perm)
+    by_tuples = counting(monkeypatch, nb, "_orbit_count_tuples")
     out = nb.test1_character_bound(g)
     assert passes[0] == 1
     assert walks[0] == 0
+    assert by_tuples[0] == 0
     assert out.details["counts"] == {2: 1, 3: 2}  # 2-transitive, two triple orbits
 
 
@@ -132,13 +138,37 @@ def test1_requires_transitive():
 
 
 def test1_fixed_point_sum_alone_past_the_tuple_budget(monkeypatch):
-    # (30)_4 distinct 4-tuples exceed the budget: ell = 4, 5 are counted
-    # by the fixed-point sum only
+    # (30)_4 distinct 4-tuples exceed the budget, which a group within
+    # ELEMENT_ENUM_CAP never reads: every ell is a fixed-point sum
     by_tuples = counting(monkeypatch, nb, "_orbit_count_tuples")
     out = nb.test1_character_bound(cat.cyclic_regular(30).group)
     assert out.details["counts"] == {2: 29, 3: 812, 4: 21_924, 5: 570_024}  # (30)_ell / 30
-    assert by_tuples[0] == 2
+    assert by_tuples[0] == 0
     assert not out.not_binary
+
+
+def check_orbit_counts(group, ell_max):
+    """Test 1's two routes to r_ell agree for ell = 0, ..., ell_max within
+    TEST1_TUPLE_BUDGET.  At ell = 0 the fixed-point sum is |G| itself, so
+    a census that loses an element fails even where that element fixes
+    no point."""
+    fixed = nb._element_census(group, ())[0]
+    for ell in range(ell_max + 1):
+        if math.perm(group.degree, ell) <= nb.TEST1_TUPLE_BUDGET:
+            by_elements = nb._orbit_count_fixed(fixed, group.order(), ell)
+            assert by_elements == nb._orbit_count_tuples(group, ell), ell
+
+
+def test_orbit_count_routes_agree_on_catalog_entries():
+    # every ell test 1 reads in `relkit tests --all`, and those past its
+    # first NotBinary
+    checked = 0
+    for entry in cat.default_entries():
+        group = entry.group
+        if group.is_transitive() and group.order() <= nb.ELEMENT_ENUM_CAP:
+            check_orbit_counts(group, min(4, group.degree))
+            checked += 1
+    assert checked >= 40
 
 
 def test1_tuples_alone_past_the_enumeration_cap(monkeypatch):
@@ -411,6 +441,7 @@ def small_groups(draw):
 @settings(max_examples=150, deadline=None)
 def test_census_matches_bruteforce(group):
     check_census(group)
+    check_orbit_counts(group, min(5, group.degree))
 
 
 def test_census_matches_bruteforce_on_catalog_entries():
@@ -493,10 +524,14 @@ def test5_enumerates_the_group_once(monkeypatch):
                          ids=["agl23", "product33"])
 def test5_sampled_path(group, monkeypatch):
     # above the cap test 5 samples its p-elements; a cap of 100 sends
-    # these groups of order 432 and 1296 down that path
+    # these groups of order 432 and 1296 down that path.  It closes no
+    # conjugacy class: rule 2, the only reader of classes, is off on a
+    # sample, and nothing bounds a class by the sample's size
     monkeypatch.setattr(nb, "TEST5_EXHAUSTIVE_CAP", 100)
+    conjugations = counting(monkeypatch, nb, "_conjugate")
     out = nb.test5_special_primes(group)
     assert out.details["sampled"]
+    assert conjugations[0] == 0
     assert out.not_binary and out.certificate.rule == "stabilizer_divisibility"
     assert out.verify(group)
     assert nb.test5_special_primes(group).to_json() == out.to_json()
