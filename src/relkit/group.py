@@ -101,8 +101,9 @@ class PermutationGroup:
         # The group order once known: handed in by rebased() or
         # pointwise_stabilizer(), or read off this group's chain.
         self._order: int | None = _order
-        # pointwise_stabilizer(keep_levels=True) keeps here the levels it
-        # cut from its parent's chain (see there); empty otherwise.
+        # pointwise_stabilizer(keep_levels=True) keeps here the levels along
+        # the path of such calls that made this group (see there); empty
+        # otherwise.
         self._cut_levels: tuple = ()
         self._chain: StabilizerChain | None = None
         self._lock = threading.Lock()
@@ -218,12 +219,14 @@ class PermutationGroup:
         # elements() enumerates the stabilizer.
         stab = PermutationGroup(self.degree, gens, _order=chain.order_below(k))
         if keep_levels:
-            # The cut levels: level i holds the orbit of points[i] under the
-            # stabilizer of the points before it, with coset representatives
-            # and their cached inverses.  The walk in search.py tests set
-            # images along them without building another chain.  Only it
-            # asks: each level holds an orbit's worth of permutations.
-            stab._cut_levels = tuple(chain._levels[:k])
+            # The path levels: this group's own, then the levels cut here.
+            # Level i holds the orbit of the i-th point of the path under
+            # the stabilizer of the points before it, with coset
+            # representatives and their cached inverses.  The walk in
+            # search.py tests set images and reads side groups along them
+            # without building another chain.  Only it and test 3 ask:
+            # each level holds an orbit's worth of permutations.
+            stab._cut_levels = self._cut_levels + tuple(chain._levels[:k])
         return stab
 
     def pointwise_stabilizer_order(self, points) -> int:

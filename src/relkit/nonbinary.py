@@ -405,12 +405,16 @@ def test3_triples(group) -> TestOutcome:
         raise NotTransitive("test 3 requires a transitive group")
     if group.degree > TEST3_DEGREE_CAP:
         raise DegreeTooLarge(f"degree {group.degree} exceeds cap {TEST3_DEGREE_CAP}")
+    # the stabilizers carry their path levels, as the walk's do; G_0 is the
+    # lattice's own, so lattice_witness reads it back without a rebuild
     lattice = StabilizerLattice(group)
-    for beta, _ in lattice.stabilizer(frozenset((0,))).orbits():
+    stab0 = group.pointwise_stabilizer([0], keep_levels=True)
+    lattice.adopt((0,), stab0)
+    for beta, _ in stab0.orbits():
         if beta == 0:
             continue
-        prefix_set = frozenset((0, beta))
-        hit = _witness_at_prefix(lattice, prefix_set, lattice.stabilizer(prefix_set))
+        stab = stab0.pointwise_stabilizer([beta], keep_levels=True)
+        hit = _witness_at_prefix(lattice, frozenset((0, beta)), stab)
         if hit is not None:
             pair = lattice_witness(lattice, (0, beta), *hit)
             return TestOutcome("test3", NOT_BINARY, WitnessPairCertificate(pair))

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from .errors import (
     DegreeTooLarge,
     GroupTooLarge,
+    InternalInconsistency,
     LengthMismatch,
     MalformedSyntax,
     ParseError,
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .group import PermutationGroup, _json_int, _json_list
 from .perm import Permutation, format_permutation, parse_permutation
-from .search import StabilizerLattice, canonical_prefixes
+from .search import StabilizerLattice, canonical_prefixes, path_sides
 
 RC_DEGREE_CAP = 120
 RC_ORDER_CAP = 10**7
@@ -163,24 +164,35 @@ def orbit_equivalent(group, I, J) -> bool:
 
 def _witness_at_prefix(lattice, prefix_set, stab):
     """Search a, b completing the prefix to a witness: (alpha, beta), or
-    None if none exists."""
-    side_groups = lattice.side_groups(prefix_set, stab.order())
-    if side_groups is None:
+    None if none exists.  stab is the prefix's stabilizer K, with its path
+    levels: the side groups H_i are read off them as cosets of K (see
+    search.py), never built."""
+    if len(stab._cut_levels) != len(prefix_set):
+        raise InternalInconsistency("the prefix's stabilizer lacks its path levels")
+    sides = path_sides(stab)
+    if sides is None:
         return None  # a redundant point: the intersection can never escape
-    for alpha, orbit in stab.orbits():
+    orbits = stab.orbits()
+    orbit_of = [0] * stab.degree
+    for index, (_, orbit) in enumerate(orbits):
+        for x in orbit:
+            orbit_of[x] = index
+    for own, (alpha, _) in enumerate(orbits):
         if alpha in prefix_set:
             continue
-        # every side group contains stab, so each side orbit of alpha
-        # contains its orbit: once the intersection shrinks to that orbit,
-        # nothing is left to escape
-        candidates = side_groups[0].orbit(alpha)
-        for side in side_groups[1:]:
-            if len(candidates) == len(orbit):
+        # H_i is the union of the cosets g^-1 K, so the H_i-orbit of alpha
+        # is the union of the K-orbits of the points alpha^(g^-1), that is
+        # g.index(alpha); once the intersection shrinks to alpha's own
+        # K-orbit, nothing is left to escape
+        candidates = {orbit_of[g.index(alpha)] for g in sides[0]}
+        for cosets in sides[1:]:
+            if len(candidates) == 1:
                 break
-            candidates &= side.orbit(alpha)
-        escaped = candidates.difference(orbit)
-        if escaped:
-            return alpha, min(escaped)
+            candidates &= {orbit_of[g.index(alpha)] for g in cosets}
+        candidates.discard(own)
+        if candidates:
+            # orbits ascend by minimum: the least escaped point heads the first
+            return alpha, orbits[min(candidates)][0]
     return None
 
 
@@ -214,7 +226,9 @@ class WitnessSearch:
 
 def lattice_witness(lattice, prefix, alpha, beta) -> TuplePair:
     """The witness pair of a hit (alpha, beta) of _witness_at_prefix on the
-    sorted prefix, its transporters read off the lattice's side groups."""
+    sorted prefix, its transporters read off the lattice's side groups.
+    The only place that still builds side groups: the witness check reads
+    their orders and orbits off the path levels, and words need generators."""
     prefix_set = frozenset(prefix)
     transporters = {
         dropped: lattice.stabilizer(prefix_set - {p}).orbit_transporter(alpha)[beta]

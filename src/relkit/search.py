@@ -43,14 +43,29 @@ colours of the orbitals (G-orbits on ordered pairs, diagonal included)
 it forms with the set's points, sorted over the points; one n x n
 colour table of the top group serves the walk.  Sets with equal keys
 then go to a set-transporter backtrack along the stored set's own path:
-pointwise_stabilizer keeps, on each stabilizer it returns, the level it
-cut from its parent's chain, and those levels form a stabilizer chain
-prefix of G along the path (Leon, "Permutation group algorithms based on
-partitions, I", J. Symbolic Comput. 1991, decides set images by such a
-backtrack with partition refinement on top).
+pointwise_stabilizer keeps, on each stabilizer it returns, its parent's
+path levels and the level it cut from its parent's chain, and those
+levels form a stabilizer chain prefix of G along the path (Leon,
+"Permutation group algorithms based on partitions, I", J. Symbolic
+Comput. 1991, decides set images by such a backtrack with partition
+refinement on top).
+
+The side groups G_{S-x_i} of a node S = {x_0..x_{m-1}}, which the witness
+check and the independence test read, come off the same levels with no
+chain built.  Level L_i is the orbit of x_i under G_{x_0..x_{i-1}}, with
+representatives u_s.  An element of G_{S-x_i} maps x_i to some s in L_i,
+so G_{S-x_i} is the disjoint union of the cosets G_S t_s u_s over the s
+for which a descent through L_{i+1..m-1} finds t_s in G_{x_0..x_i} with
+x_j^(t_s) = x_j^(u_s^-1) for all j > i (side_cosets).  So
+|G_{S-x_i}| = |G_S| times the number of such s, and the G_{S-x_i}-orbit
+of a point a is the union of the G_S-orbits of the points a^(g^-1),
+g = t_s u_s.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from itertools import islice
 
 from .chain import maps_onto
 from .group import PermutationGroup, tuple_orbits
@@ -83,20 +98,46 @@ class StabilizerLattice:
     def order(self, points: frozenset) -> int:
         return self.stabilizer(points).order()
 
-    def side_groups(self, points: frozenset, full: int):
-        """The stabilizers of points - {p}, p ascending, or None as soon as
-        some p is redundant: dropping it leaves the order, full, as is."""
-        sides = []
-        for p in sorted(points):
-            side = self.stabilizer(points - {p})
-            if side.order() == full:
-                return None
-            sides.append(side)
-        return sides
+    def is_independent(self, stab: PermutationGroup) -> bool:
+        """No point of stab's path is redundant: dropping any point x_i
+        enlarges the stabilizer, so G_S has a second coset in G_{S - x_i}."""
+        levels = stab._cut_levels
+        return all(len(list(islice(side_cosets(levels, i), 2))) == 2
+                   for i in range(len(levels)))
 
-    def is_independent(self, points: frozenset, full: int) -> bool:
-        """No point is redundant: dropping any point enlarges the stabilizer."""
-        return self.side_groups(points, full) is not None
+
+def side_cosets(levels, i):
+    """Yield one g, as an image tuple, in each coset G_S g of G_S in
+    G_{S - x_i}, where levels are path levels (pointwise_stabilizer with
+    keep_levels=True) along x_0..x_{m-1} and S is their set.  The first is
+    the identity.  A descent like chain.maps_onto's, with no branching;
+    preimages come from tuple.index, so no inverse is formed or cached."""
+    later = levels[i + 1:]
+    for s in levels[i].transversal:
+        # the representatives chosen so far; g is their product, deepest first
+        word = [levels[i].transversal[s].images]
+        for level in later:
+            b = level.point
+            for u in word:
+                b = u.index(b)
+            if b not in level.transversal:
+                break
+            word.append(level.transversal[b].images)
+        else:
+            yield reduce(lambda acc, u: tuple(map(u.__getitem__, acc)), word[-2::-1], word[-1])
+
+
+def path_sides(stab: PermutationGroup):
+    """side_cosets of each point of stab's path, in path order, as lists;
+    None as soon as some point is redundant (its side has one coset)."""
+    levels = stab._cut_levels
+    sides = []
+    for i in range(len(levels)):
+        cosets = list(side_cosets(levels, i))
+        if len(cosets) == 1:
+            return None
+        sides.append(cosets)
+    return sides
 
 
 def orbital_colours(group: PermutationGroup):
@@ -125,10 +166,10 @@ def canonical_prefixes(lattice: StabilizerLattice, prune=None):
     """
     n = lattice.group.degree
     colour = orbital_colours(lattice.group)
-    # set key -> cut levels along the path of each visited set with that key
+    # set key -> path levels of each visited set with that key
     visited: dict[tuple, list[tuple]] = {}
 
-    def walk(points, fset, stab, order, levels):
+    def walk(points, fset, stab, order):
         if prune is not None and prune(len(points), order):
             return
         # A point the stabilizer fixes cannot shrink it, so only the minima
@@ -143,11 +184,10 @@ def canonical_prefixes(lattice: StabilizerLattice, prune=None):
                 continue
             child = stab.pointwise_stabilizer([p], keep_levels=True)
             child_order = child.order()
-            child_levels = levels + child._cut_levels
-            same_key.append(child_levels)
+            same_key.append(child._cut_levels)
             lattice.adopt(points + (p,), child)
             yield points + (p,), child_set, child
-            yield from walk(points + (p,), child_set, child, child_order, child_levels)
+            yield from walk(points + (p,), child_set, child, child_order)
 
     root = lattice.stabilizer(frozenset())
-    yield from walk((), frozenset(), root, root.order(), ())
+    yield from walk((), frozenset(), root, root.order())

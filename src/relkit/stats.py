@@ -72,7 +72,7 @@ class ProfileSearch:
                 self.irr, self.irr_wit = depth, points
         deeper_h = depth > self.h
         deeper_b = trivial and depth > self.big_b
-        if (deeper_h or deeper_b) and self.lattice.is_independent(fset, stab.order()):
+        if (deeper_h or deeper_b) and self.lattice.is_independent(stab):
             if deeper_h:
                 self.h, self.h_wit = depth, points
             if deeper_b:

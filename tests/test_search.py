@@ -12,14 +12,15 @@ from relkit.chain import maps_onto
 from relkit.group import PermutationGroup
 from relkit.oracle import mulclose
 from relkit.perm import Permutation
-from relkit.search import StabilizerLattice, canonical_prefixes
+from relkit.search import StabilizerLattice, canonical_prefixes, path_sides, side_cosets
 from test_chain import subgroups_with_points
 
 
 def set_dedup_walk(lattice, prune=None):
     """The reference walk: canonical prefixes, skipping a child only when
     its set was visited before, and memoising every visited set's
-    stabilizer in the lattice."""
+    stabilizer in the lattice.  Each child keeps its path levels, as the
+    walk's do, for the side groups its consumers read off them."""
     seen = set()
 
     def walk(points, fset, stab, order):
@@ -29,7 +30,7 @@ def set_dedup_walk(lattice, prune=None):
             child_set = fset | {p}
             if child_set in seen:
                 continue
-            child = stab.pointwise_stabilizer([p])
+            child = stab.pointwise_stabilizer([p], keep_levels=True)
             child_order = child.order()
             seen.add(child_set)
             lattice._memo.setdefault(child_set, child)
@@ -137,6 +138,38 @@ def test_the_lattice_holds_only_the_groups_its_recursion_builds(case):
         for lattice in walked_lattices(run, module, group):
             for points, stab in lattice._memo.items():
                 assert stab.generators == fresh.stabilizer(points).generators, sorted(points)
+
+
+@given(subgroups_with_points())
+@example(PSL25)
+@example(ALT7_3)
+@settings(max_examples=30, deadline=None)
+def test_path_side_groups_match_brute_force(case):
+    # each side group G_{S-x} read off a node's path levels, against the
+    # elements of G that fix S-x pointwise
+    degree, gens, _ = case
+    group = PermutationGroup(degree, gens)
+    elements = mulclose(group.generators, degree)
+    members = set(elements)
+    lattice = StabilizerLattice(group)
+    for points, fset, stab in canonical_prefixes(lattice):
+        levels = stab._cut_levels
+        assert [level.point for level in levels] == list(points)
+        k_orbit = {x: orbit for _, orbit in stab.orbits() for x in orbit}
+        side_orders = []
+        for i, x in enumerate(points):
+            rest = fset - {x}
+            side = [e for e in elements if all(e[y] == y for y in rest)]
+            cosets = list(side_cosets(levels, i))
+            assert all(g in members and all(g[y] == y for y in rest) for g in cosets)
+            assert stab.order() * len(cosets) == len(side)
+            for a in range(degree):
+                assert set().union(*(k_orbit[g.index(a)] for g in cosets)) \
+                    == {e[a] for e in side}
+            side_orders.append(len(side))
+        redundant = stab.order() in side_orders
+        assert (path_sides(stab) is None) == redundant
+        assert lattice.is_independent(stab) == (not redundant)
 
 
 def reversed_walk_child(pointwise_stabilizer):
