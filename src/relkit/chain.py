@@ -92,9 +92,8 @@ def maps_onto(levels, target) -> bool:
     target's unmatched rest in the level's orbit, and carries on with the
     preimage of the rest without s under u_s (u_s fixes the points already
     matched).  A descent like _descend, over a set instead of a tuple.
+    target has one point per level.
     """
-    if len(levels) != len(target):
-        return False
 
     def search(i, rest):
         if not rest:

@@ -22,8 +22,6 @@ from .digraphs import enumerate_homogeneous_digraphs
 from .errors import (
     BadParameter,
     CapExceeded,
-    DegreeTooLarge,
-    GroupTooLarge,
     InternalInconsistency,
     ParseError,
     RelkitError,
@@ -64,7 +62,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TooLarge, DegreeTooLarge, GroupTooLarge, CapExceeded) as exc:
+    except (TooLarge, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if args.strict else 2
     except InternalInconsistency as exc:

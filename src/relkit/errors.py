@@ -57,19 +57,19 @@ class PrimeDoesNotDivide(RelkitError):
     """The supplied prime does not divide the group order."""
 
 
-class DegreeTooLarge(RelkitError):
-    """Degree exceeds the cap for this operation."""
-
-
-class GroupTooLarge(RelkitError):
-    """Group order exceeds the cap for this operation."""
-
-
 class TooLarge(RelkitError):
     """Input exceeds the size cap for this operation."""
 
 
-class ArityTooLarge(RelkitError):
+class DegreeTooLarge(TooLarge):
+    """Degree exceeds the cap for this operation."""
+
+
+class GroupTooLarge(TooLarge):
+    """Group order exceeds the cap for this operation."""
+
+
+class ArityTooLarge(TooLarge):
     """Requested relation arity exceeds the supported maximum."""
 
 

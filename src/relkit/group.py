@@ -67,19 +67,23 @@ def orbits_under(domain, generators, act):
         yield start, orbit
 
 
+def code_table(images, k):
+    """The action on k-tuples of the permutation with the given image
+    array, as one list over base-n codes: (x_1, ..., x_k) has the code
+    x_1 n^(k-1) + ... + x_k, and entry c is the code of c's image."""
+    n = len(images)
+    codes = [0]
+    for _ in range(k):
+        codes = [c * n + y for c in codes for y in images]
+    return codes
+
+
 def tuple_orbits(group, k):
     """Yield the G-orbits on k-tuples, repeats included, in order of their
-    lexicographic minima, each as a set of codes: (x_1, ..., x_k) has the
-    base-n code x_1 n^(k-1) + ... + x_k, so codes order as the tuples do.
-    Each generator acts as one list over the codes."""
-    n = group.degree
-    gens = []
-    for g in group.generators:
-        codes = [0]
-        for _ in range(k):
-            codes = [c * n + y for c in codes for y in g.images]
-        gens.append(codes)
-    for _, orbit in orbits_under(range(n ** k), gens, _point_image):
+    lexicographic minima, each as a set of codes (code_table), which order
+    as the tuples do.  Each generator acts as one list over the codes."""
+    gens = [code_table(g.images, k) for g in group.generators]
+    for _, orbit in orbits_under(range(group.degree ** k), gens, _point_image):
         yield orbit
 
 
@@ -101,9 +105,8 @@ class PermutationGroup:
         # The group order once known: handed in by rebased() or
         # pointwise_stabilizer(), or read off this group's chain.
         self._order: int | None = _order
-        # pointwise_stabilizer(keep_levels=True) keeps here the levels along
-        # the path of such calls that made this group (see there); empty
-        # otherwise.
+        # The levels along the path of pointwise_stabilizer calls that made
+        # this group (see there); empty for a group built otherwise.
         self._cut_levels: tuple = ()
         self._chain: StabilizerChain | None = None
         self._lock = threading.Lock()
@@ -207,7 +210,7 @@ class PermutationGroup:
         chain = self.rebased([a for a, _ in pairs]).chain
         return chain.descend([b for _, b in pairs])
 
-    def pointwise_stabilizer(self, points, *, keep_levels=False) -> "PermutationGroup":
+    def pointwise_stabilizer(self, points) -> "PermutationGroup":
         points = list(points)
         for p in points:
             self._check_point(p)
@@ -218,15 +221,11 @@ class PermutationGroup:
         # has its own base and transversals, which fix the order in which
         # elements() enumerates the stabilizer.
         stab = PermutationGroup(self.degree, gens, _order=chain.order_below(k))
-        if keep_levels:
-            # The path levels: this group's own, then the levels cut here.
-            # Level i holds the orbit of the i-th point of the path under
-            # the stabilizer of the points before it, with coset
-            # representatives and their cached inverses.  The walk in
-            # search.py tests set images and reads side groups along them
-            # without building another chain.  Only it and test 3 ask:
-            # each level holds an orbit's worth of permutations.
-            stab._cut_levels = self._cut_levels + tuple(chain._levels[:k])
+        # The path levels: this group's own, then the levels cut here.
+        # Level i holds the orbit of the path's i-th point under the
+        # stabilizer of the points before it, with coset representatives
+        # (search.py reads set images and side groups off them).
+        stab._cut_levels = self._cut_levels + tuple(chain._levels[:k])
         return stab
 
     def pointwise_stabilizer_order(self, points) -> int:

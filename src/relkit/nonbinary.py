@@ -14,6 +14,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .catalog import holomorph_like_action
 from .closure import k_closure
@@ -26,8 +27,9 @@ from .errors import (
     NotNormal,
     NotTransitive,
     PrimeDoesNotDivide,
+    TooLarge,
 )
-from .group import PermutationGroup, orbits_under, tuple_image
+from .group import PermutationGroup, code_table, orbits_under, tuple_image
 from .perm import (
     Permutation,
     _trusted,
@@ -287,10 +289,16 @@ def _orbit_count_fixed(fixed, order, ell) -> int:
 
 
 def _orbit_count_tuples(group, ell) -> int:
-    """r_ell by closing distinct ell-tuples under the generators."""
-    gens = [g.images for g in group.generators]
-    domain = itertools.permutations(range(group.degree), ell)
-    return sum(1 for _ in orbits_under(domain, gens, tuple_image))
+    """r_ell by closing the codes (code_table) of the distinct ell-tuples
+    under the generators: g maps c'n + x to T[c']n + x^g, T its table on
+    (ell-1)-tuples."""
+    if ell == 0:
+        return 1  # the empty tuple alone
+    n = group.degree
+    gens = [(code_table(g.images, ell - 1), g.images) for g in group.generators]
+    domain = (reduce(lambda c, x: c * n + x, t, 0) for t in itertools.permutations(range(n), ell))
+    orbits = orbits_under(domain, gens, lambda c, g: g[0][c // n] * n + g[1][c % n])
+    return sum(1 for _ in orbits)
 
 
 def _complete_pair(group, I, J, k):
@@ -405,16 +413,11 @@ def test3_triples(group) -> TestOutcome:
         raise NotTransitive("test 3 requires a transitive group")
     if group.degree > TEST3_DEGREE_CAP:
         raise DegreeTooLarge(f"degree {group.degree} exceeds cap {TEST3_DEGREE_CAP}")
-    # the stabilizers carry their path levels, as the walk's do; G_0 is the
-    # lattice's own, so lattice_witness reads it back without a rebuild
+    # G_0 is the lattice's own, so lattice_witness reads it back
     lattice = StabilizerLattice(group)
-    stab0 = group.pointwise_stabilizer([0], keep_levels=True)
-    lattice.adopt((0,), stab0)
-    for beta, _ in stab0.orbits():
-        if beta == 0:
-            continue
-        stab = stab0.pointwise_stabilizer([beta], keep_levels=True)
-        hit = _witness_at_prefix(lattice, frozenset((0, beta)), stab)
+    stab0 = lattice.stabilizer(frozenset((0,)))
+    for beta, _ in stab0.orbits()[1:]:  # the first orbit is {0}
+        hit = _witness_at_prefix((0, beta), stab0.pointwise_stabilizer([beta]))
         if hit is not None:
             pair = lattice_witness(lattice, (0, beta), *hit)
             return TestOutcome("test3", NOT_BINARY, WitnessPairCertificate(pair))
@@ -903,8 +906,7 @@ def run_battery(group, tests=BATTERY_ORDER, stop_at_first=True, prime=None,
     def run(name, fn):
         try:
             return fn()
-        except (NotTransitive, DegreeTooLarge, GroupTooLarge,
-                PrimeDoesNotDivide, NotFrobenius) as exc:
+        except (NotTransitive, TooLarge, PrimeDoesNotDivide, NotFrobenius) as exc:
             return TestOutcome(name, INCONCLUSIVE, None,
                                {"not_applicable": f"{type(exc).__name__}: {exc}"})
 

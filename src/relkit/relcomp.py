@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from .errors import (
     DegreeTooLarge,
     GroupTooLarge,
-    InternalInconsistency,
     LengthMismatch,
     MalformedSyntax,
     ParseError,
@@ -162,13 +161,11 @@ def orbit_equivalent(group, I, J) -> bool:
     return group.transporter(I, J) is not None
 
 
-def _witness_at_prefix(lattice, prefix_set, stab):
-    """Search a, b completing the prefix to a witness: (alpha, beta), or
-    None if none exists.  stab is the prefix's stabilizer K, with its path
-    levels: the side groups H_i are read off them as cosets of K (see
-    search.py), never built."""
-    if len(stab._cut_levels) != len(prefix_set):
-        raise InternalInconsistency("the prefix's stabilizer lacks its path levels")
+def _witness_at_prefix(points, stab):
+    """Search a, b completing the prefix points to a witness: (alpha, beta),
+    or None if none exists.  stab is the prefix's stabilizer K, built along
+    points: the side groups H_i are read off its path levels as cosets of K
+    (see search.py), never built."""
     sides = path_sides(stab)
     if sides is None:
         return None  # a redundant point: the intersection can never escape
@@ -178,7 +175,7 @@ def _witness_at_prefix(lattice, prefix_set, stab):
         for x in orbit:
             orbit_of[x] = index
     for own, (alpha, _) in enumerate(orbits):
-        if alpha in prefix_set:
+        if alpha in points:
             continue
         # H_i is the union of the cosets g^-1 K, so the H_i-orbit of alpha
         # is the union of the K-orbits of the points alpha^(g^-1), that is
@@ -209,12 +206,12 @@ class WitnessSearch:
         # a strictly decreasing chain below this node gains at most log2(order) points
         return depth + max(0, order.bit_length() - 1) <= self.best_level
 
-    def visit(self, points, fset, stab):
+    def visit(self, points, stab):
         if len(points) > self.best_level:
-            hit = _witness_at_prefix(self.lattice, fset, stab)
+            hit = _witness_at_prefix(points, stab)
             if hit is not None:
                 self.best_level = len(points)
-                self.best = (tuple(sorted(fset)), hit)
+                self.best = (tuple(sorted(points)), hit)
 
     def result(self):
         """(RC, maximal witness pair), or (2, None) for a binary action."""

@@ -88,10 +88,11 @@ class StabilizerLattice:
         self._memo[points] = result
         return result
 
-    def adopt(self, path: tuple, group: PermutationGroup):
-        """Keep the walk's stabilizer of path, built point by point, if path
-        ascends: stabilizer() then makes the same pointwise_stabilizer calls
-        on the same groups, so group is the lattice's own."""
+    def adopt(self, group: PermutationGroup):
+        """Keep the walk's stabilizer group if its path ascends: stabilizer()
+        then makes the same pointwise_stabilizer calls on the same groups,
+        so group is the lattice's own."""
+        path = [level.point for level in group._cut_levels]
         if all(a < b for a, b in zip(path, path[1:])):
             self._memo.setdefault(frozenset(path), group)
 
@@ -108,10 +109,10 @@ class StabilizerLattice:
 
 def side_cosets(levels, i):
     """Yield one g, as an image tuple, in each coset G_S g of G_S in
-    G_{S - x_i}, where levels are path levels (pointwise_stabilizer with
-    keep_levels=True) along x_0..x_{m-1} and S is their set.  The first is
-    the identity.  A descent like chain.maps_onto's, with no branching;
-    preimages come from tuple.index, so no inverse is formed or cached."""
+    G_{S - x_i}, where levels are a pointwise stabilizer's path levels along
+    x_0..x_{m-1} and S is their set.  The first is the identity.  A descent
+    like chain.maps_onto's, with no branching; preimages come from
+    tuple.index, so no inverse is formed or cached."""
     later = levels[i + 1:]
     for s in levels[i].transversal:
         # the representatives chosen so far; g is their product, deepest first
@@ -159,17 +160,17 @@ def set_key(colour, n, points) -> tuple:
 def canonical_prefixes(lattice: StabilizerLattice, prune=None):
     """DFS over canonical strictly-decreasing prefixes, one set per G-orbit.
 
-    Yields (points_tuple, points_frozenset, stabilizer) in depth-first
-    order, root (empty prefix) excluded.  ``prune(depth, stabilizer_order)``
-    may return True to skip extensions of a node.  A prefix set whose
-    G-orbit was already visited, through this set or another, is skipped.
+    Yields (points tuple, stabilizer along them) in depth-first order, root
+    (empty prefix) excluded.  ``prune(depth, stabilizer_order)`` may return
+    True to skip extensions of a node.  A prefix set whose G-orbit was
+    already visited, through this set or another, is skipped.
     """
     n = lattice.group.degree
     colour = orbital_colours(lattice.group)
     # set key -> path levels of each visited set with that key
     visited: dict[tuple, list[tuple]] = {}
 
-    def walk(points, fset, stab, order):
+    def walk(points, stab, order):
         if prune is not None and prune(len(points), order):
             return
         # A point the stabilizer fixes cannot shrink it, so only the minima
@@ -178,16 +179,16 @@ def canonical_prefixes(lattice: StabilizerLattice, prune=None):
         # orbit-stabilizer, each of those divides the order by its orbit
         # length.
         for p in [alpha for alpha, orbit in stab.orbits() if len(orbit) > 1]:
-            child_set = fset | {p}
-            same_key = visited.setdefault(set_key(colour, n, child_set), [])
-            if any(maps_onto(path, child_set) for path in same_key):
+            child_points = points + (p,)
+            same_key = visited.setdefault(set_key(colour, n, child_points), [])
+            if any(maps_onto(path, child_points) for path in same_key):
                 continue
-            child = stab.pointwise_stabilizer([p], keep_levels=True)
+            child = stab.pointwise_stabilizer([p])
             child_order = child.order()
             same_key.append(child._cut_levels)
-            lattice.adopt(points + (p,), child)
-            yield points + (p,), child_set, child
-            yield from walk(points + (p,), child_set, child, child_order)
+            lattice.adopt(child)
+            yield child_points, child
+            yield from walk(child_points, child, child_order)
 
     root = lattice.stabilizer(frozenset())
-    yield from walk((), frozenset(), root, root.order())
+    yield from walk((), root, root.order())

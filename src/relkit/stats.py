@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DegreeTooLarge, GroupTooLarge, InternalInconsistency
+from .errors import DegreeTooLarge, InternalInconsistency, TooLarge
 from .group import PermutationGroup
 from .relcomp import TuplePair, WitnessSearch, check_rc_caps
 from .search import StabilizerLattice, canonical_prefixes
@@ -62,7 +62,7 @@ class ProfileSearch:
         self.b_wit = self.big_b_wit = self.h_wit = self.irr_wit = ()
         self.big_b = self.h = self.irr = 0
 
-    def visit(self, points, fset, stab):
+    def visit(self, points, stab):
         depth = len(points)
         trivial = stab.is_trivial()
         if trivial:
@@ -151,7 +151,7 @@ def compute_statistics(group: PermutationGroup, force_caps=False) -> StatisticsR
     try:
         check_rc_caps(group, force_caps)
         witness_search = WitnessSearch(lattice)
-    except (DegreeTooLarge, GroupTooLarge) as exc:
+    except TooLarge as exc:
         skipped["rc"] = f"skipped(cap): {exc}"
     for node in canonical_prefixes(lattice):
         if witness_search is not None:

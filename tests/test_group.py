@@ -27,6 +27,7 @@ from relkit.group import (
 )
 from relkit.oracle import brute_order, brute_transporter, mulclose
 from relkit.perm import Permutation, parse_permutation
+from relkit.search import StabilizerLattice
 
 
 def G(degree, *cycle_strings, base_prefix=()):
@@ -186,6 +187,31 @@ def test_orbit_stabilizer_identity():
             orbit = group.orbit(p)
             stab = group.pointwise_stabilizer([p])
             assert len(orbit) * stab.order() == group.order()
+
+
+@given(subgroups_with_points())
+@settings(max_examples=40, deadline=None)
+def test_stabilizers_carry_their_path_levels(case):
+    # stabilizers built outside the walk: of several points at once, point
+    # by point, and by the lattice's recursion (in ascending order)
+    degree, gens, points = case
+    group = PermutationGroup(degree, gens)
+    elements = mulclose(group.generators, degree)
+    distinct = list(dict.fromkeys(points))
+    nested = group
+    for p in distinct:
+        nested = nested.pointwise_stabilizer([p])
+    lattice = StabilizerLattice(group)
+    for stab, path in ((group.pointwise_stabilizer(points), distinct),
+                       (nested, distinct),
+                       (lattice.stabilizer(frozenset(points)), sorted(distinct))):
+        levels = stab._cut_levels
+        assert [level.point for level in levels] == path
+        for i, level in enumerate(levels):
+            fixing = {e for e in elements if all(e[y] == y for y in path[:i])}
+            assert set(level.transversal) == {e[level.point] for e in fixing}
+            for s, u in level.transversal.items():
+                assert u.images in fixing and u(level.point) == s
 
 
 def test_setwise_stabilizer_sym4():

@@ -300,10 +300,10 @@ def _transporter_calls_and_budget(monkeypatch, group):
         calls.append(p)
         return orbit_transporter(self, p)
 
-    def counting_witness(lattice, prefix_set, stab):
-        hit = witness_at_prefix(lattice, prefix_set, stab)
+    def counting_witness(points, stab):
+        hit = witness_at_prefix(points, stab)
         if hit is not None:
-            prefix_points.append(len(prefix_set))
+            prefix_points.append(len(points))
         return hit
 
     monkeypatch.setattr(PermutationGroup, "orbit_transporter", counting_transporter)

@@ -2,6 +2,7 @@
 repeated sets, with G-equivalence of sets decided by brute force, and
 RC's witness against the one the plain walk gives."""
 
+import sys
 from unittest import mock
 
 from hypothesis import example, given, settings
@@ -19,26 +20,25 @@ from test_chain import subgroups_with_points
 def set_dedup_walk(lattice, prune=None):
     """The reference walk: canonical prefixes, skipping a child only when
     its set was visited before, and memoising every visited set's
-    stabilizer in the lattice.  Each child keeps its path levels, as the
-    walk's do, for the side groups its consumers read off them."""
+    stabilizer in the lattice."""
     seen = set()
 
-    def walk(points, fset, stab, order):
+    def walk(points, stab, order):
         if prune is not None and prune(len(points), order):
             return
         for p in [alpha for alpha, orbit in stab.orbits() if len(orbit) > 1]:
-            child_set = fset | {p}
+            child_set = frozenset(points + (p,))
             if child_set in seen:
                 continue
-            child = stab.pointwise_stabilizer([p], keep_levels=True)
+            child = stab.pointwise_stabilizer([p])
             child_order = child.order()
             seen.add(child_set)
             lattice._memo.setdefault(child_set, child)
-            yield points + (p,), child_set, child
-            yield from walk(points + (p,), child_set, child, child_order)
+            yield points + (p,), child
+            yield from walk(points + (p,), child, child_order)
 
     root = lattice.stabilizer(frozenset())
-    yield from walk((), frozenset(), root, root.order())
+    yield from walk((), root, root.order())
 
 
 def set_orbit(elements, points):
@@ -59,16 +59,16 @@ def test_walk_yields_the_first_set_of_each_orbit(case):
     elements = mulclose(group.generators, degree)
     orbits_seen = set()
     firsts = []
-    for points, fset, stab in set_dedup_walk(StabilizerLattice(group)):
-        orbit = set_orbit(elements, fset)
+    for points, stab in set_dedup_walk(StabilizerLattice(group)):
+        orbit = set_orbit(elements, points)
         if orbit not in orbits_seen:
             orbits_seen.add(orbit)
-            firsts.append((points, fset, stab.generators))
-    walked = [(points, fset, stab.generators)
-              for points, fset, stab in canonical_prefixes(StabilizerLattice(group))]
+            firsts.append((points, stab.generators))
+    walked = [(points, stab.generators)
+              for points, stab in canonical_prefixes(StabilizerLattice(group))]
     assert walked == firsts
     # no two yielded sets are G-equivalent
-    assert len({set_orbit(elements, fset) for _, fset, _ in walked}) == len(walked)
+    assert len({set_orbit(elements, points) for points, _ in walked}) == len(walked)
 
 
 @given(subgroups_with_points())
@@ -98,7 +98,7 @@ def test_maps_onto_matches_brute_force(case):
     group = PermutationGroup(degree, gens)
     elements = mulclose(group.generators, degree)
     points = list(dict.fromkeys(points))
-    stab = group.pointwise_stabilizer(points, keep_levels=True)
+    stab = group.pointwise_stabilizer(points)
     source = frozenset(points)
     # images of the source (always reached) and of {0, .., k-1} (sometimes)
     for images in elements[:: max(1, len(elements) // 20)]:
@@ -152,7 +152,8 @@ def test_path_side_groups_match_brute_force(case):
     elements = mulclose(group.generators, degree)
     members = set(elements)
     lattice = StabilizerLattice(group)
-    for points, fset, stab in canonical_prefixes(lattice):
+    for points, stab in canonical_prefixes(lattice):
+        fset = frozenset(points)
         levels = stab._cut_levels
         assert [level.point for level in levels] == list(points)
         k_orbit = {x: orbit for _, orbit in stab.orbits() for x in orbit}
@@ -173,12 +174,13 @@ def test_path_side_groups_match_brute_force(case):
 
 
 def reversed_walk_child(pointwise_stabilizer):
-    """pointwise_stabilizer, with each walk child (keep_levels=True) handed
-    back with its generators reversed and its cut levels kept."""
+    """pointwise_stabilizer, with each walk child (a call from the walk's
+    own frame, `walk`) handed back with its generators reversed and its
+    cut levels kept."""
 
-    def reversing(self, points, *, keep_levels=False):
-        stab = pointwise_stabilizer(self, points, keep_levels=keep_levels)
-        if not keep_levels:
+    def reversing(self, points):
+        stab = pointwise_stabilizer(self, points)
+        if sys._getframe(1).f_code.co_name != "walk":
             return stab
         child = PermutationGroup(stab.degree, stab.generators[::-1], _order=stab.order())
         child._cut_levels = stab._cut_levels
@@ -203,6 +205,6 @@ def test_outputs_do_not_depend_on_how_the_walk_builds_its_groups(case):
     degree, gens, _ = case
     want = rc_and_stats_json(degree, gens)
     reversing = reversed_walk_child(PermutationGroup.pointwise_stabilizer)
-    with mock.patch.object(StabilizerLattice, "adopt", lambda self, path, group: None), \
+    with mock.patch.object(StabilizerLattice, "adopt", lambda self, group: None), \
             mock.patch.object(PermutationGroup, "pointwise_stabilizer", reversing):
         assert rc_and_stats_json(degree, gens) == want

@@ -62,13 +62,13 @@ def test_one_walk_matches_two_walks_on_the_catalog(entry):
 
 
 def witness_checks(run, group):
-    """The prefix sets, in order, on which run(group) checks for a witness."""
+    """The prefixes, in order, on which run(group) checks for a witness."""
     seen = []
     check = relcomp._witness_at_prefix
 
-    def recording(lattice, prefix_set, stab):
-        seen.append(prefix_set)
-        return check(lattice, prefix_set, stab)
+    def recording(points, stab):
+        seen.append(points)
+        return check(points, stab)
 
     with mock.patch.object(relcomp, "_witness_at_prefix", recording):
         run(PermutationGroup(group.degree, group.generators))
