@@ -30,7 +30,6 @@ class CatalogEntry:
     parameters: dict
     group: PermutationGroup
     expected_rc: int | None = None
-    expected_primitive: bool | None = None
     expected_order: int | None = None
     in_subset_product_family: bool = False
 
@@ -77,7 +76,6 @@ def symmetric_natural(n) -> CatalogEntry:
         parameters={"n": n},
         group=group,
         expected_rc=2 if n >= 2 else None,
-        expected_primitive=True if n >= 2 else None,
         expected_order=math.factorial(n),
         in_subset_product_family=True,
     )
@@ -92,7 +90,6 @@ def alternating_natural(n) -> CatalogEntry:
         parameters={"n": n},
         group=group,
         expected_rc=max(2, n - 1),
-        expected_primitive=True,
         expected_order=math.factorial(n) // 2,
         in_subset_product_family=True,
     )
@@ -107,7 +104,6 @@ def cyclic_regular(n) -> CatalogEntry:
         parameters={"n": n},
         group=group,
         expected_rc=2,
-        expected_primitive=_is_prime(n),
         expected_order=n,
     )
 
@@ -123,7 +119,6 @@ def dihedral_polygon(n) -> CatalogEntry:
         parameters={"n": n},
         group=group,
         expected_rc=2,
-        expected_primitive=_is_prime(n) and n % 2 == 1,
         expected_order=2 * n,
     )
 
@@ -276,7 +271,6 @@ def product_action(m, r) -> CatalogEntry:
         parameters={"m": m, "r": r},
         group=group,
         expected_rc=expected,
-        expected_primitive=(m >= 3),
         expected_order=math.factorial(m) ** r * math.factorial(r),
         in_subset_product_family=True,
     )
@@ -298,7 +292,6 @@ def affine_orthogonal(q, dim) -> CatalogEntry:
             parameters={"q": q, "dim": 1},
             group=dihedral_polygon(q).group,  # x -> x+1 and x -> -x
             expected_rc=2,
-            expected_primitive=True,
             expected_order=2 * q,
         )
     if q > 7:
@@ -340,7 +333,6 @@ def affine_orthogonal(q, dim) -> CatalogEntry:
         parameters={"q": q, "dim": 2},
         group=group,
         expected_rc=2,
-        expected_primitive=True,
         expected_order=degree * 2 * (q + 1),
     )
 
@@ -366,7 +358,6 @@ def agl1(p) -> CatalogEntry:
         name="agl1",
         parameters={"p": p},
         group=group,
-        expected_primitive=True,
         expected_order=p * (p - 1),
     )
 
@@ -396,7 +387,6 @@ def psl2_projective(p) -> CatalogEntry:
         name="psl2",
         parameters={"p": p},
         group=group,
-        expected_primitive=True,
         expected_order=p * (p * p - 1) // 2,
     )
 

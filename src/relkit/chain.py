@@ -36,7 +36,7 @@ complete whenever level i is scanned; a cleared tuple lies in their group,
 which only grows, so it would sift to the identity again, and the scan
 meets the same first non-identity residue in the same order.  A key on
 (u_b, g) would not do, since u_c can change when level i is rebuilt.
-The sets live for one build and are not stored on the chain.
+The sets live for one build or one extend and are not stored on the chain.
 """
 
 from __future__ import annotations
@@ -124,10 +124,19 @@ class StabilizerChain:
                 continue
             seen.add(p)
             self._levels.append(_Level(p, degree))
-        gens = [g for g in generators if not g.is_identity()]
-        for g in gens:
-            self._install(g)
-        self._complete(order)
+        for g in generators:
+            if not g.is_identity():
+                self._install(g)
+        self._complete(range(len(self._levels)), order)
+
+    def extend(self, g: Permutation):
+        """Add g and complete again only levels 0..j, the levels g reaches
+        (incremental Schreier-Sims, Seress ch. 4).  A fresh build from the
+        same generators and base prefix has the same order and orbits on
+        that prefix, but may pick other coset representatives, so other
+        certificates: the constructor does not build by extending."""
+        if not g.is_identity():
+            self._complete(range(self._install(g) + 1))
 
     # -- construction -------------------------------------------------
 
@@ -153,13 +162,14 @@ class StabilizerChain:
         )
         level.inverses.clear()
 
-    def _complete(self, order):
-        """Fixpoint loop: process the deepest dirty level first.
+    def _complete(self, dirty, order=None):
+        """Fixpoint loop: process the deepest dirty level first; the levels
+        deeper than every dirty one must be complete.
 
         With a known group order, stop once the transversals reach it,
         after bringing every stale transversal up to date.
         """
-        dirty = set(range(len(self._levels)))
+        dirty = set(dirty)
         # level -> Schreier generators (image tuples) that sifted to the identity
         cleared: dict[int, set] = {}
         while dirty:

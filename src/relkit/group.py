@@ -249,27 +249,25 @@ class PermutationGroup:
         chain = self.rebased(lam).chain
         pointwise = chain.strong_generators_below(len(lam))
         found: list[Permutation] = []
-        known_chain = [StabilizerChain(self.degree, pointwise, lam)]
+        known = StabilizerChain(self.degree, pointwise, lam)
 
-        def search(i, targets, used):
-            if i > 0 and targets != lam[:i] and known_chain[0].descend(targets):
+        # x is the element chain.descend(targets) returns; extending targets
+        # by c multiplies it on the left by the representative of x^-1(c)
+        def search(i, targets, used, x):
+            if i > 0 and targets != lam[:i] and known.descend(targets):
                 return
             if i == len(lam):
-                g = chain.descend(targets)
-                if g is not None and not known_chain[0].contains(g):
-                    found.append(g)
-                    known_chain[0] = StabilizerChain(
-                        self.degree, pointwise + found, lam
-                    )
+                if not known.contains(x):
+                    found.append(x)
+                    known.extend(x)
                 return
+            reps = {x.images[b]: u for b, u in chain.transversal(i).items()}
             for c in lam:
-                if c in used:
+                if c in used or c not in reps:
                     continue
-                if chain.descend(targets + [c]) is None:
-                    continue
-                search(i + 1, targets + [c], used | {c})
+                search(i + 1, targets + [c], used | {c}, reps[c] * x)
 
-        search(0, [], set())
+        search(0, [], set(), self.identity())
         return PermutationGroup(self.degree, pointwise + found)
 
     def induced_action(self, points):
@@ -305,7 +303,7 @@ class PermutationGroup:
         # scan needs one q per G_0-orbit, its minimum (the chain for G_0
         # is cheap to rebase once the order is known)
         self.order()
-        g0 = [g.images for g in self.rebased([0]).chain.strong_generators_below(1)]
+        g0 = [g.images for g in self.pointwise_stabilizer([0]).generators]
         for q, _ in orbits_under(range(1, n), g0, _point_image):
             blocks = self._minimal_block(0, q)
             if 1 < len(blocks[0]) < n:
@@ -362,7 +360,6 @@ class PermutationGroup:
         chain = self.rebased(base).chain
         ginv = g.inverse()
         fixed_h = set(h.fixed_points())
-        n_levels = min(len(base), len(chain.base))
 
         def consistent(a, c, img):
             if g(a) == a and c not in fixed_h:
@@ -374,30 +371,25 @@ class PermutationGroup:
                 return False
             return True
 
-        def search(i, targets, img):
-            if i == n_levels:
-                x = chain.descend(targets)
-                if x is None:
-                    return None
-                # points beyond the chain base are determined; re-check fully
+        # base lists every point once, so the chain has one level per point
+        # and x, carried as in setwise_stabilizer, is the whole element
+        def search(i, img, x):
+            if i == len(base):
                 return x if all(x(g(p)) == h(x(p)) for p in range(self.degree)) else None
-            a = chain.base[i]
-            prefix = chain.descend(targets)
-            if prefix is None:
-                return None
+            a = base[i]
             used = set(img.values())
-            for b in sorted(chain.transversal(i)):
-                c = prefix(b)
+            for b, u in sorted(chain.transversal(i).items()):
+                c = x(b)
                 if c in used or not consistent(a, c, img):
                     continue
                 img[a] = c
-                result = search(i + 1, targets + [c], img)
+                result = search(i + 1, img, u * x)
                 if result is not None:
                     return result
                 del img[a]
             return None
 
-        return search(0, [], {})
+        return search(0, {}, self.identity())
 
     # -- serialization -------------------------------------------------
 

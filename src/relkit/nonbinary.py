@@ -637,7 +637,7 @@ def test6_trivial_two_point(group, trials=DEFAULT_TEST6_TRIALS, seed=DEFAULT_TES
         for g in m_elements:
             if g(w2) == w2:
                 continue
-            pre = g.inverse()(w1)
+            pre = g.images.index(w1)
             if pre not in orbit2:
                 continue
             # u in G_w2 maps w1 -> pre, so r = u*g fixes w1 and maps w2 as g

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
+from .chain import StabilizerChain
 from .errors import (
     ArityTooLarge,
     BadParameter,
@@ -221,19 +222,21 @@ def automorphism_group(structure, generators=()) -> PermutationGroup:
 
     The harvest starts from the given automorphisms and lists them first
     among the generators.  One chain of the group found so far, on base
-    0..n-1, gives every level's known orbit: its transversal at d is the
-    orbit of d under the stabilizer of 0..d-1.
+    0..n-1 and extended by each harvested automorphism, gives every level's
+    known orbit: its transversal at d is the orbit of d under the
+    stabilizer of 0..d-1.
     """
     n = structure.vertices
     if n == 0:
         raise VertexOutOfRange("empty structure has no automorphism group")
     points = range(n)
-    known = PermutationGroup(n, generators, base_prefix=points)
+    gens = list(PermutationGroup(n, generators).generators)
+    known = StabilizerChain(n, gens, points)
     checks = _level_checks(structure, structure, points)
     for d in range(n - 1, -1, -1):
         prefix = tuple(range(d))
         for c in range(d, n):
-            if c in known.chain.transversal(d):
+            if c in known.transversal(d):
                 continue
             row = prefix + (c,)
             if not checks[d].passes(row):
@@ -241,10 +244,11 @@ def automorphism_group(structure, generators=()) -> PermutationGroup:
             images = next(_extensions(checks, points, row), None)
             if images is not None:
                 sigma = Permutation(images)
-                known = PermutationGroup(n, known.generators + (sigma,), base_prefix=points)
-    # drop the base prefix: the returned group's chain, and so the order of
-    # its elements(), is the one built from the generators alone
-    return PermutationGroup(n, known.generators, _order=known.order())
+                gens.append(sigma)
+                known.extend(sigma)
+    # the returned group's chain, and so the order of its elements(), is
+    # the one built from the generators alone, not the grown chain
+    return PermutationGroup(n, gens, _order=known.order())
 
 
 def check_homogeneity_cap(structure):
@@ -326,13 +330,12 @@ def _first_failing_map(structure, aut, size, gens):
     n = structure.vertices
     points = range(n)
     for src in _subset_representatives(n, size, gens):
-        checks = _level_checks(structure, structure, src)
-        found = sum(1 for _ in _extensions(checks, points))
-        if found == aut.order() // aut.pointwise_stabilizer_order(src):
-            continue
+        images = list(_extensions(_level_checks(structure, structure, src), points))
         chain = aut.rebased(src).chain
+        if len(images) == aut.order() // chain.order_below(len(src)):
+            continue
         image = min(
-            (image for image in _extensions(checks, points) if chain.descend(image) is None),
+            (image for image in images if chain.descend(image) is None),
             key=lambda image: (sorted(image), image),
         )
         return dict(zip(src, image))

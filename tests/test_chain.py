@@ -184,6 +184,27 @@ def test_pointwise_stabilizer_carries_its_order(case):
     assert levels(rebased.chain) == levels(StabilizerChain(degree, stab.generators, points[::-1]))
 
 
+@given(subgroups_with_points(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_extended_chain_equals_a_fresh_chain(case, data):
+    # extend by words in the generators (inside the group) and by drawn
+    # permutations (mostly outside it), one at a time
+    degree, gens, prefix = case
+    perms = st.permutations(range(degree)).map(Permutation)
+    words = st.lists(st.integers(0, 5), max_size=6).map(lambda w: _word(gens, w, degree))
+    extras = data.draw(st.lists(st.one_of(words, perms), min_size=1, max_size=3))
+    samples = data.draw(st.lists(perms, max_size=8))
+    chain = StabilizerChain(degree, gens, prefix)
+    for k, g in enumerate(extras, 1):
+        chain.extend(g)
+        fresh = StabilizerChain(degree, gens + extras[:k], prefix)
+        assert chain.order() == fresh.order()
+        for x in samples + extras[:k] + gens:
+            assert chain.contains(x) == fresh.contains(x)
+        for i in range(len(dict.fromkeys(prefix))):
+            assert chain.transversal(i).keys() == fresh.transversal(i).keys()
+
+
 @pytest.mark.parametrize("point", [-1, 5])
 def test_base_point_out_of_range(point):
     with pytest.raises(PointOutOfRange):
@@ -276,6 +297,13 @@ def test_transporter_equals_a_fresh_chain(case):
     assert group.transporter(src[::-1], dst[::-1]) == other.descend(dst[::-1])
 
 
+def conjugator_base(g):
+    """The base element_conjugator(g, h) rebases to: g's cycles, longest
+    first, then its fixed points."""
+    base = [p for c in sorted(g.cycles(), key=lambda c: (-len(c), c)) for p in c]
+    return base + [p for p in range(g.degree) if g(p) == p]
+
+
 @given(groups_with_tuples())
 @settings(max_examples=60, deadline=None)
 def test_conjugator_equals_a_fresh_chain(case):
@@ -285,6 +313,9 @@ def test_conjugator_equals_a_fresh_chain(case):
     h = x.inverse() * g * x
     want = PermutationGroup(degree, gens).element_conjugator(g, h)
     assert want is not None and want.inverse() * g * want == h
+    # the canonical element of the chain on the base the search walks
+    base = conjugator_base(g)
+    assert want == PermutationGroup(degree, gens).rebased(base).chain.descend(map(want, base))
     for _ in range(2):
         assert group.element_conjugator(g, h) == want
 

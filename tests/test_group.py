@@ -6,7 +6,7 @@ import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from test_chain import subgroups_with_points
+from test_chain import conjugator_base, subgroups_with_points
 
 from relkit import catalog as cat
 from relkit.errors import (
@@ -381,17 +381,28 @@ def test_conjugator_not_in_group():
                                   parse_permutation("(1 3)", 4))
 
 
+def sift_sequence(chain, x):
+    """The points b_i with x = u_k * ... * u_0, u_i the representative of
+    b_i at level i: the order in which the conjugator search meets x."""
+    out = []
+    for i, p in enumerate(chain.base):
+        out.append(x(p))
+        x = x * chain.transversal(i)[x(p)].inverse()
+    return out
+
+
 def test_conjugator_matches_bruteforce():
     groups = [sym(4), alt4(), G(6, "(1 2 3 4 5 6)", "(2 6)(3 5)")]
     for group in groups:
         elements = [Permutation(e) for e in mulclose(group.generators, group.degree)]
-        import itertools
         for g, h in itertools.islice(itertools.product(elements, repeat=2), 400):
             fast = group.element_conjugator(g, h)
-            brute = next((x for x in elements if x.inverse() * g * x == h), None)
-            assert (fast is None) == (brute is None)
+            brute = [x for x in elements if x.inverse() * g * x == h]
+            assert (fast is None) == (not brute)
             if fast is not None:
-                assert fast.inverse() * g * fast == h
+                # the search returns the conjugator it meets first
+                chain = group.rebased(conjugator_base(g)).chain
+                assert fast == min(brute, key=lambda x: sift_sequence(chain, x))
 
 
 # -- json io ---------------------------------------------------------------------------
