@@ -6,9 +6,9 @@ first demand under a lock, so groups are safe to share across threads.
 Degrees above DEGREE_CAP are rejected outright.
 
 Transporters, element conjugacy, setwise stabilizers and stabilizer
-orders build, per call, the chain of rebased(prefix) for the exact
-points in their order: another order gives other transversals, hence
-other certificates.
+orders use the chain of rebased(prefix) for the exact points in their
+order (built per call unless the group's own equals it): another order
+gives other transversals, hence other certificates.
 """
 
 from __future__ import annotations
@@ -128,11 +128,20 @@ class PermutationGroup:
         """Same group with a chain whose base starts with the given points.
 
         The order is handed on when already known, so the new chain can
-        stop early; it is never computed just for that.
+        stop early; it is never computed just for that.  This group's chain
+        is shared when it is built, its base starts with the points and its
+        own base prefix is no longer than theirs: a fresh build then makes
+        the same levels in the same order, each generator at the first base
+        point it moves, so the same chain.  Only local chains are ever
+        extended, never a shared one.
         """
         for p in base_prefix:
             self._check_point(p)
-        return PermutationGroup(self.degree, self.generators, base_prefix, self._order)
+        group = PermutationGroup(self.degree, self.generators, base_prefix, self._order)
+        own, prefix = self._chain, list(dict.fromkeys(base_prefix))
+        if own is not None and len(prefix) >= len(set(self._base_prefix)) and own.base[:len(prefix)] == prefix:
+            group._chain = own
+        return group
 
     def order(self) -> int:
         if self._order is None:
@@ -372,10 +381,12 @@ class PermutationGroup:
             return True
 
         # base lists every point once, so the chain has one level per point
-        # and x, carried as in setwise_stabilizer, is the whole element
+        # and x, carried as in setwise_stabilizer, maps each a to img[a]; a
+        # leaf's x conjugates, as consistent() checked x(g(p)) = h(x(p)) once
+        # the later of p, g(p) was placed (a fixed p against fixed_h)
         def search(i, img, x):
             if i == len(base):
-                return x if all(x(g(p)) == h(x(p)) for p in range(self.degree)) else None
+                return x
             a = base[i]
             used = set(img.values())
             for b, u in sorted(chain.transversal(i).items()):

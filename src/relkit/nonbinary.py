@@ -45,7 +45,7 @@ from .relcomp import (
     subtuple_complete,
     witness_pair,
 )
-from .search import StabilizerLattice
+from .search import StabilizerLattice, path_sides
 
 ELEMENT_ENUM_CAP = 200_000
 TEST1_TUPLE_BUDGET = 400_000
@@ -417,7 +417,8 @@ def test3_triples(group) -> TestOutcome:
     lattice = StabilizerLattice(group)
     stab0 = lattice.stabilizer(frozenset((0,)))
     for beta, _ in stab0.orbits()[1:]:  # the first orbit is {0}
-        hit = _witness_at_prefix((0, beta), stab0.pointwise_stabilizer([beta]))
+        stab = stab0.pointwise_stabilizer([beta])
+        hit = _witness_at_prefix((0, beta), stab, path_sides(stab))
         if hit is not None:
             pair = lattice_witness(lattice, (0, beta), *hit)
             return TestOutcome("test3", NOT_BINARY, WitnessPairCertificate(pair))

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .group import PermutationGroup, _json_int, _json_list
 from .perm import Permutation, format_permutation, parse_permutation
-from .search import StabilizerLattice, canonical_prefixes, path_sides
+from .search import StabilizerLattice, canonical_prefixes
 
 RC_DEGREE_CAP = 120
 RC_ORDER_CAP = 10**7
@@ -161,12 +161,11 @@ def orbit_equivalent(group, I, J) -> bool:
     return group.transporter(I, J) is not None
 
 
-def _witness_at_prefix(points, stab):
+def _witness_at_prefix(points, stab, sides):
     """Search a, b completing the prefix points to a witness: (alpha, beta),
     or None if none exists.  stab is the prefix's stabilizer K, built along
-    points: the side groups H_i are read off its path levels as cosets of K
-    (see search.py), never built."""
-    sides = path_sides(stab)
+    points, and sides the node's side cosets: the side groups H_i as cosets
+    of K, carried down the walk (see search.py), never built."""
     if sides is None:
         return None  # a redundant point: the intersection can never escape
     orbits = stab.orbits()
@@ -206,9 +205,9 @@ class WitnessSearch:
         # a strictly decreasing chain below this node gains at most log2(order) points
         return depth + max(0, order.bit_length() - 1) <= self.best_level
 
-    def visit(self, points, stab):
+    def visit(self, points, stab, sides):
         if len(points) > self.best_level:
-            hit = _witness_at_prefix(points, stab)
+            hit = _witness_at_prefix(points, stab, sides)
             if hit is not None:
                 self.best_level = len(points)
                 self.best = (tuple(sorted(points)), hit)

@@ -56,16 +56,16 @@ chain built.  Level L_i is the orbit of x_i under G_{x_0..x_{i-1}}, with
 representatives u_s.  An element of G_{S-x_i} maps x_i to some s in L_i,
 so G_{S-x_i} is the disjoint union of the cosets G_S t_s u_s over the s
 for which a descent through L_{i+1..m-1} finds t_s in G_{x_0..x_i} with
-x_j^(t_s) = x_j^(u_s^-1) for all j > i (side_cosets).  So
-|G_{S-x_i}| = |G_S| times the number of such s, and the G_{S-x_i}-orbit
-of a point a is the union of the G_S-orbits of the points a^(g^-1),
-g = t_s u_s.
+x_j^(t_s) = x_j^(u_s^-1) for all j > i.  So |G_{S-x_i}| = |G_S| times the
+number of such s, and the G_{S-x_i}-orbit of a point a is the union of
+the G_S-orbits of the points a^(g^-1), g = t_s u_s.  A child's descents
+are its parent's plus one level, so the walk carries each node's cosets
+down and extends them by the child's level (extend_sides).
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import islice
 
 from .chain import maps_onto
 from .group import PermutationGroup, tuple_orbits
@@ -99,46 +99,33 @@ class StabilizerLattice:
     def order(self, points: frozenset) -> int:
         return self.stabilizer(points).order()
 
-    def is_independent(self, stab: PermutationGroup) -> bool:
-        """No point of stab's path is redundant: dropping any point x_i
-        enlarges the stabilizer, so G_S has a second coset in G_{S - x_i}."""
-        levels = stab._cut_levels
-        return all(len(list(islice(side_cosets(levels, i), 2))) == 2
-                   for i in range(len(levels)))
+    def is_independent(self, sides) -> bool:
+        """No point of the node's path is redundant: dropping any point x_i
+        enlarges the stabilizer, so G_S has a second coset in G_{S - x_i}.
+        sides are the node's side cosets, None when some point is redundant."""
+        return sides is not None
 
 
-def side_cosets(levels, i):
-    """Yield one g, as an image tuple, in each coset G_S g of G_S in
-    G_{S - x_i}, where levels are a pointwise stabilizer's path levels along
-    x_0..x_{m-1} and S is their set.  The first is the identity.  A descent
-    like chain.maps_onto's, with no branching; preimages come from
-    tuple.index, so no inverse is formed or cached."""
-    later = levels[i + 1:]
-    for s in levels[i].transversal:
-        # the representatives chosen so far; g is their product, deepest first
-        word = [levels[i].transversal[s].images]
-        for level in later:
-            b = level.point
-            for u in word:
-                b = u.index(b)
-            if b not in level.transversal:
-                break
-            word.append(level.transversal[b].images)
-        else:
-            yield reduce(lambda acc, u: tuple(map(u.__getitem__, acc)), word[-2::-1], word[-1])
+def extend_sides(sides, level):
+    """The side cosets of a node's child, from the node's and the level the
+    child cuts: per path point x_i, one g, as an image tuple, in each coset
+    G_S g of G_S in G_{S - x_i}, the identity first; None once some point
+    is redundant (its side has one coset).  Side i keeps each g whose
+    preimage b of the level's point has a representative t_b, as g t_b, and
+    the new point's side is the level's representatives.  Preimages come
+    from tuple.index, so no inverse is formed or cached."""
+    if sides is None:
+        return None
+    x, t = level.point, level.transversal
+    out = [[tuple(map(g.__getitem__, t[b].images)) for g in cosets if (b := g.index(x)) in t]
+           for cosets in sides]
+    out.append([u.images for u in t.values()])
+    return None if any(len(cosets) == 1 for cosets in out) else out
 
 
 def path_sides(stab: PermutationGroup):
-    """side_cosets of each point of stab's path, in path order, as lists;
-    None as soon as some point is redundant (its side has one coset)."""
-    levels = stab._cut_levels
-    sides = []
-    for i in range(len(levels)):
-        cosets = list(side_cosets(levels, i))
-        if len(cosets) == 1:
-            return None
-        sides.append(cosets)
-    return sides
+    """The side cosets of stab's node, by extend_sides along its path."""
+    return reduce(extend_sides, stab._cut_levels, [])
 
 
 def orbital_colours(group: PermutationGroup):
@@ -160,17 +147,18 @@ def set_key(colour, n, points) -> tuple:
 def canonical_prefixes(lattice: StabilizerLattice, prune=None):
     """DFS over canonical strictly-decreasing prefixes, one set per G-orbit.
 
-    Yields (points tuple, stabilizer along them) in depth-first order, root
-    (empty prefix) excluded.  ``prune(depth, stabilizer_order)`` may return
-    True to skip extensions of a node.  A prefix set whose G-orbit was
-    already visited, through this set or another, is skipped.
+    Yields (points tuple, stabilizer along them, side cosets) in depth-first
+    order, root (empty prefix) excluded; the side cosets (extend_sides)
+    live on the walk's stack only.  ``prune(depth, stabilizer_order)`` may
+    return True to skip extensions of a node.  A prefix set whose G-orbit
+    was already visited, through this set or another, is skipped.
     """
     n = lattice.group.degree
     colour = orbital_colours(lattice.group)
     # set key -> path levels of each visited set with that key
     visited: dict[tuple, list[tuple]] = {}
 
-    def walk(points, stab, order):
+    def walk(points, stab, order, sides):
         if prune is not None and prune(len(points), order):
             return
         # A point the stabilizer fixes cannot shrink it, so only the minima
@@ -187,8 +175,9 @@ def canonical_prefixes(lattice: StabilizerLattice, prune=None):
             child_order = child.order()
             same_key.append(child._cut_levels)
             lattice.adopt(child)
-            yield child_points, child
-            yield from walk(child_points, child, child_order)
+            child_sides = extend_sides(sides, child._cut_levels[-1])
+            yield child_points, child, child_sides
+            yield from walk(child_points, child, child_order, child_sides)
 
     root = lattice.stabilizer(frozenset())
-    yield from walk((), root, root.order())
+    yield from walk((), root, root.order(), [])

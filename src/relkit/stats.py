@@ -62,7 +62,7 @@ class ProfileSearch:
         self.b_wit = self.big_b_wit = self.h_wit = self.irr_wit = ()
         self.big_b = self.h = self.irr = 0
 
-    def visit(self, points, stab):
+    def visit(self, points, stab, sides):
         depth = len(points)
         trivial = stab.is_trivial()
         if trivial:
@@ -72,7 +72,7 @@ class ProfileSearch:
                 self.irr, self.irr_wit = depth, points
         deeper_h = depth > self.h
         deeper_b = trivial and depth > self.big_b
-        if (deeper_h or deeper_b) and self.lattice.is_independent(stab):
+        if (deeper_h or deeper_b) and self.lattice.is_independent(sides):
             if deeper_h:
                 self.h, self.h_wit = depth, points
             if deeper_b:

@@ -218,6 +218,23 @@ def test_rebased_does_not_build_a_chain_to_learn_the_order():
     assert group.rebased([3])._order == 120
 
 
+@given(subgroups_with_points(), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_rebased_on_a_prefix_of_the_base_equals_a_fresh_chain(case, own_prefix):
+    # a group's built chain serves rebased() on a prefix of its base; one
+    # built from a longer base prefix than asked for may differ from a
+    # fresh build, so the points' own prefixes are checked too
+    degree, gens, points = case
+    group = PermutationGroup(degree, gens, points if own_prefix else ())
+    base, order = group.chain.base, group.order()
+    points = list(dict.fromkeys(points))
+    for prefix in [base[:k] for k in range(len(base) + 1)] + [points[:k] for k in range(len(points))]:
+        rebased = group.rebased(prefix)
+        assert levels(rebased.chain) == levels(StabilizerChain(degree, gens, prefix, order))
+        if not own_prefix and prefix == base[:len(prefix)]:
+            assert rebased.chain is group.chain
+
+
 def reference_elements(chain):
     """elements() of the chain, as it enumerated before it composed image
     tuples: one Permutation product per level, deepest level slowest."""

@@ -300,8 +300,8 @@ def _transporter_calls_and_budget(monkeypatch, group):
         calls.append(p)
         return orbit_transporter(self, p)
 
-    def counting_witness(points, stab):
-        hit = witness_at_prefix(points, stab)
+    def counting_witness(points, stab, sides):
+        hit = witness_at_prefix(points, stab, sides)
         if hit is not None:
             prefix_points.append(len(points))
         return hit

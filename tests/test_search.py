@@ -13,14 +13,15 @@ from relkit.chain import maps_onto
 from relkit.group import PermutationGroup
 from relkit.oracle import mulclose
 from relkit.perm import Permutation
-from relkit.search import StabilizerLattice, canonical_prefixes, path_sides, side_cosets
+from relkit.search import StabilizerLattice, canonical_prefixes, path_sides
 from test_chain import subgroups_with_points
 
 
 def set_dedup_walk(lattice, prune=None):
     """The reference walk: canonical prefixes, skipping a child only when
     its set was visited before, and memoising every visited set's
-    stabilizer in the lattice."""
+    stabilizer in the lattice; each node's side cosets are computed along
+    its path, not carried down from its parent."""
     seen = set()
 
     def walk(points, stab, order):
@@ -34,7 +35,7 @@ def set_dedup_walk(lattice, prune=None):
             child_order = child.order()
             seen.add(child_set)
             lattice._memo.setdefault(child_set, child)
-            yield points + (p,), child
+            yield points + (p,), child, path_sides(child)
             yield from walk(points + (p,), child, child_order)
 
     root = lattice.stabilizer(frozenset())
@@ -59,13 +60,13 @@ def test_walk_yields_the_first_set_of_each_orbit(case):
     elements = mulclose(group.generators, degree)
     orbits_seen = set()
     firsts = []
-    for points, stab in set_dedup_walk(StabilizerLattice(group)):
+    for points, stab, _ in set_dedup_walk(StabilizerLattice(group)):
         orbit = set_orbit(elements, points)
         if orbit not in orbits_seen:
             orbits_seen.add(orbit)
             firsts.append((points, stab.generators))
     walked = [(points, stab.generators)
-              for points, stab in canonical_prefixes(StabilizerLattice(group))]
+              for points, stab, _ in canonical_prefixes(StabilizerLattice(group))]
     assert walked == firsts
     # no two yielded sets are G-equivalent
     assert len({set_orbit(elements, points) for points, _ in walked}) == len(walked)
@@ -145,32 +146,37 @@ def test_the_lattice_holds_only_the_groups_its_recursion_builds(case):
 @example(ALT7_3)
 @settings(max_examples=30, deadline=None)
 def test_path_side_groups_match_brute_force(case):
-    # each side group G_{S-x} read off a node's path levels, against the
+    # each side group G_{S-x} carried down the walk to a node, against the
     # elements of G that fix S-x pointwise
     degree, gens, _ = case
     group = PermutationGroup(degree, gens)
     elements = mulclose(group.generators, degree)
     members = set(elements)
     lattice = StabilizerLattice(group)
-    for points, stab in canonical_prefixes(lattice):
+    for points, stab, sides in canonical_prefixes(lattice):
         fset = frozenset(points)
-        levels = stab._cut_levels
-        assert [level.point for level in levels] == list(points)
+        assert [level.point for level in stab._cut_levels] == list(points)
+        assert sides == path_sides(stab)
+        side_groups = [[e for e in elements if all(e[y] == y for y in fset - {x})]
+                       for x in points]
+        redundant = any(len(side) == stab.order() for side in side_groups)
+        assert (sides is None) == redundant
+        assert lattice.is_independent(sides) == (not redundant)
+        if redundant:
+            continue
         k_orbit = {x: orbit for _, orbit in stab.orbits() for x in orbit}
-        side_orders = []
-        for i, x in enumerate(points):
+        fixers = [e for e in elements if all(e[y] == y for y in fset)]
+        for x, side, cosets in zip(points, side_groups, sides):
             rest = fset - {x}
-            side = [e for e in elements if all(e[y] == y for y in rest)]
-            cosets = list(side_cosets(levels, i))
+            assert cosets[0] == tuple(range(degree))
             assert all(g in members and all(g[y] == y for y in rest) for g in cosets)
+            # one element in each coset G_S g: the cosets are distinct and fill the side
+            assert len({frozenset(tuple(g[k] for k in e) for e in fixers) for g in cosets}) \
+                == len(cosets)
             assert stab.order() * len(cosets) == len(side)
             for a in range(degree):
                 assert set().union(*(k_orbit[g.index(a)] for g in cosets)) \
                     == {e[a] for e in side}
-            side_orders.append(len(side))
-        redundant = stab.order() in side_orders
-        assert (path_sides(stab) is None) == redundant
-        assert lattice.is_independent(stab) == (not redundant)
 
 
 def reversed_walk_child(pointwise_stabilizer):

@@ -66,9 +66,9 @@ def witness_checks(run, group):
     seen = []
     check = relcomp._witness_at_prefix
 
-    def recording(points, stab):
+    def recording(points, stab, sides):
         seen.append(points)
-        return check(points, stab)
+        return check(points, stab, sides)
 
     with mock.patch.object(relcomp, "_witness_at_prefix", recording):
         run(PermutationGroup(group.degree, group.generators))
