@@ -194,19 +194,16 @@ def _witness_at_prefix(points, stab, sides):
 
 class WitnessSearch:
     """RC's consumer of the prefix walk: visit() takes the nodes in walk
-    order, and prune() is RC's cut, read after the node was visited."""
+    order and checks the independent ones deeper than the best witness
+    level, the only ones that can raise it."""
 
     def __init__(self, lattice):
         self.lattice = lattice
         self.best_level = 1
         self.best = None
 
-    def prune(self, depth, order):
-        # a strictly decreasing chain below this node gains at most log2(order) points
-        return depth + max(0, order.bit_length() - 1) <= self.best_level
-
     def visit(self, points, stab, sides):
-        if len(points) > self.best_level:
+        if sides is not None and len(points) > self.best_level:
             hit = _witness_at_prefix(points, stab, sides)
             if hit is not None:
                 self.best_level = len(points)
@@ -262,7 +259,7 @@ def relational_complexity(group, force_caps=False):
     check_rc_caps(group, force_caps)
     lattice = StabilizerLattice(group)
     search = WitnessSearch(lattice)
-    for node in canonical_prefixes(lattice, prune=search.prune):
+    for node in canonical_prefixes(lattice, redundant=False):
         search.visit(*node)
     return search.result()
 

@@ -18,8 +18,10 @@ the same stabilizer:
     N = M^g with M earlier.  A child N + {q} of N has the G-translate
     M + {q'}, where q' is the minimum of the G_M-orbit of q^(g^-1); that
     orbit is nontrivial like q's, so M + {q'} is a child of M and comes
-    earlier.  M is cut no later than N: a prune reads the depth and the
-    order, which M and N share, and a best level that only grows.
+    earlier.  M is cut exactly when N is: the cut below redundant sets
+    (redundant=False) reads only whether some point is redundant, and
+    redundancy is G-invariant.  Every prefix of an independent set is
+    independent, so the cut removes no independent node.
   - So a first set's parent is a first set, and the orbit walk reaches
     every first set along the plain walk's path, in the same order,
     calling the same pointwise_stabilizer on the same group.
@@ -27,9 +29,7 @@ the same stabilizer:
 Its consumers keep their results.  Depth, stabilizer order, independence
 and whether a witness exists are G-invariant, and the statistics and RC
 change their best value only on a strict improvement, so a later
-orbit-mate never wins.  RC's prune, ``depth + log2(order) <= best_level``,
-reads orbit invariants and a best level that orbit-mates never raise, so
-it cuts the same first sets.  RC, its witness (I, J) and the b/B/H/I
+orbit-mate never wins.  RC, its witness (I, J) and the b/B/H/I
 witnesses are the plain walk's.  The witness's transporters are words in
 the generators of the side groups the lattice serves, read once the walk
 is done.  Every group the lattice holds is the one its own recursion
@@ -144,23 +144,23 @@ def set_key(colour, n, points) -> tuple:
     ))
 
 
-def canonical_prefixes(lattice: StabilizerLattice, prune=None):
+def canonical_prefixes(lattice: StabilizerLattice, redundant=True):
     """DFS over canonical strictly-decreasing prefixes, one set per G-orbit.
 
     Yields (points tuple, stabilizer along them, side cosets) in depth-first
     order, root (empty prefix) excluded; the side cosets (extend_sides)
-    live on the walk's stack only.  ``prune(depth, stabilizer_order)`` may
-    return True to skip extensions of a node.  A prefix set whose G-orbit
-    was already visited, through this set or another, is skipped.
+    live on the walk's stack only.  With redundant=False, a child with a
+    redundant point (side cosets None) is neither yielded nor walked
+    below: every set under it keeps that point redundant.  A prefix set
+    whose G-orbit was already visited, through this set or another, is
+    skipped.
     """
     n = lattice.group.degree
     colour = orbital_colours(lattice.group)
     # set key -> path levels of each visited set with that key
     visited: dict[tuple, list[tuple]] = {}
 
-    def walk(points, stab, order, sides):
-        if prune is not None and prune(len(points), order):
-            return
+    def walk(points, stab, sides):
         # A point the stabilizer fixes cannot shrink it, so only the minima
         # of nontrivial orbits extend the prefix (orbits() pairs each orbit
         # with its minimum, in ascending order of the minimum).  By
@@ -172,12 +172,12 @@ def canonical_prefixes(lattice: StabilizerLattice, prune=None):
             if any(maps_onto(path, child_points) for path in same_key):
                 continue
             child = stab.pointwise_stabilizer([p])
-            child_order = child.order()
             same_key.append(child._cut_levels)
             lattice.adopt(child)
             child_sides = extend_sides(sides, child._cut_levels[-1])
+            if child_sides is None and not redundant:
+                continue
             yield child_points, child, child_sides
-            yield from walk(child_points, child, child_order, child_sides)
+            yield from walk(child_points, child, child_sides)
 
-    root = lattice.stabilizer(frozenset())
-    yield from walk((), root, root.order(), [])
+    yield from walk((), lattice.stabilizer(frozenset()), [])

@@ -11,17 +11,12 @@ prefixes (see search.py):
     enlarges the stabilizer, giving H as the deepest one;
   - minimal bases are independent bases, giving B.
 
-`relkit stats` walks once, unpruned, and feeds every node to RC's
-consumer too; `relkit rc` keeps the pruned walk.  RC's answer holds if
-it checks for a witness on exactly the nodes its pruned walk checks, in
-order: the live nodes.  The root is live unless prune(0, |G|); a child
-is live when its parent was live and not cut by the prune read after RC
-visited the parent.  No flag is needed: RC checks only nodes deeper
-than its best level, and each step down at least halves the order, so
-a node under a cut node A has depth <= depth(A) + log2|G_A| <= best.
-If the unpruned walk skips a live node N for an earlier orbit-mate M,
-either the pruned walk visited M and skips N too, or M lies under a cut
-node and depth(N) = depth(M) <= best.  The witness words are read off
+`relkit stats` walks once, whole, and feeds every node to RC's consumer
+too; `relkit rc` walks with the cut below redundant sets (search.py).
+RC reads only independent nodes: a witness prefix is independent
+(relcomp.py).  The cut removes none of them, and the sets it removes,
+all redundant, are orbit-mates of none of them.  So both walks give RC
+the same nodes in the same order.  The witness words are read off
 the lattice, which holds only its own recursion's groups (search.py),
 after the walk; tests/test_stats.py compares the reports.
 """

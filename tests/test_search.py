@@ -17,29 +17,26 @@ from relkit.search import StabilizerLattice, canonical_prefixes, path_sides
 from test_chain import subgroups_with_points
 
 
-def set_dedup_walk(lattice, prune=None):
+def set_dedup_walk(lattice, redundant=True):
     """The reference walk: canonical prefixes, skipping a child only when
     its set was visited before, and memoising every visited set's
     stabilizer in the lattice; each node's side cosets are computed along
-    its path, not carried down from its parent."""
+    its path, not carried down from its parent.  It ignores redundant and
+    always walks the whole tree."""
     seen = set()
 
-    def walk(points, stab, order):
-        if prune is not None and prune(len(points), order):
-            return
+    def walk(points, stab):
         for p in [alpha for alpha, orbit in stab.orbits() if len(orbit) > 1]:
             child_set = frozenset(points + (p,))
             if child_set in seen:
                 continue
             child = stab.pointwise_stabilizer([p])
-            child_order = child.order()
             seen.add(child_set)
             lattice._memo.setdefault(child_set, child)
             yield points + (p,), child, path_sides(child)
-            yield from walk(points + (p,), child, child_order)
+            yield from walk(points + (p,), child)
 
-    root = lattice.stabilizer(frozenset())
-    yield from walk((), root, root.order())
+    yield from walk((), lattice.stabilizer(frozenset()))
 
 
 def set_orbit(elements, points):
@@ -49,10 +46,18 @@ def set_orbit(elements, points):
 # PSL(2,5) on 6 points: two sets of different G-orbits share a set key,
 # which random subgroups rarely show
 PSL25 = (6, [Permutation((0, 5, 1, 2, 3, 4)), Permutation((1, 3, 5, 0, 2, 4))], [])
+# Sym(5) on 2-subsets: 3 of the walk's 8 nodes have a redundant point
+SYM5_2 = (10, list(cat.k_subsets_action("Sym", 5, 2).group.generators), [])
+# Alt(7) on 3-subsets: 50 of the walk's 66 nodes have a redundant point,
+# and a walk builds a stabilizer along a path that does not ascend, with
+# generators other than the lattice's recursion gives
+ALT7_3 = (35, list(cat.k_subsets_action("Alt", 7, 3).group.generators), [])
 
 
 @given(subgroups_with_points())
 @example(PSL25)
+@example(SYM5_2)
+@example(ALT7_3)
 @settings(max_examples=80, deadline=None)
 def test_walk_yields_the_first_set_of_each_orbit(case):
     degree, gens, _ = case
@@ -72,15 +77,61 @@ def test_walk_yields_the_first_set_of_each_orbit(case):
     assert len({set_orbit(elements, points) for points, _ in walked}) == len(walked)
 
 
+def node_tuples(nodes):
+    return [(points, stab.generators, sides) for points, stab, sides in nodes]
+
+
+@given(subgroups_with_points())
+@example(PSL25)
+@example(SYM5_2)
+@example(ALT7_3)
+@settings(max_examples=80, deadline=None)
+def test_cut_walk_yields_the_independent_nodes_of_the_whole_walk(case):
+    # a redundant point stays redundant in every superset, so the cut
+    # drops exactly the whole walk's nodes whose sides are None, and the
+    # nodes it keeps come in the same order with the same groups and sides
+    degree, gens, _ = case
+    group = PermutationGroup(degree, gens)
+    whole = node_tuples(canonical_prefixes(StabilizerLattice(group)))
+    cut = node_tuples(canonical_prefixes(StabilizerLattice(group), redundant=False))
+    assert cut == [node for node in whole if node[2] is not None]
+
+
+@given(subgroups_with_points())
+@example(PSL25)
+@example(SYM5_2)
+@example(ALT7_3)
+@settings(max_examples=30, deadline=None)
+def test_the_cut_drops_only_sets_with_a_redundant_point(case):
+    # by brute force: every set of the whole walk that the cut walk drops
+    # has a point x with G_{S-x} = G_S, and no set the cut walk yields has one
+    degree, gens, _ = case
+    group = PermutationGroup(degree, gens)
+    elements = mulclose(group.generators, degree)
+
+    def fixers(fset):
+        return sum(all(e[y] == y for y in fset) for e in elements)
+
+    def has_redundant_point(points):
+        fset = frozenset(points)
+        return any(fixers(fset - {x}) == fixers(fset) for x in points)
+
+    kept = {points for points, _, _ in
+            canonical_prefixes(StabilizerLattice(group), redundant=False)}
+    for points, _, _ in canonical_prefixes(StabilizerLattice(group)):
+        assert has_redundant_point(points) == (points not in kept), points
+
+
 @given(subgroups_with_points())
 @example(PSL25)
 @example((7, cat.intransitive_join(5).group.generators, []))
-@example((10, cat.k_subsets_action("Sym", 5, 2).group.generators, []))
+@example(SYM5_2)
 @settings(max_examples=80, deadline=None)
 def test_rc_witness_equals_the_set_dedup_walks(case):
     # The witness's transporters are words in the generators of the side
     # groups the lattice serves, which the walk's memo can change: the
-    # certificate must be the one the set-dedup walk gives.
+    # certificate must be the one the set-dedup walk gives.  That walk
+    # ignores the cut below redundant sets, so RC reads the whole tree.
     degree, gens, _ = case
     group = PermutationGroup(degree, gens)
     rc, witness = relcomp.relational_complexity(group)
@@ -106,11 +157,6 @@ def test_maps_onto_matches_brute_force(case):
         for target in (frozenset(images[x] for x in source), frozenset(images[:len(source)])):
             want = any(frozenset(e[x] for x in source) == target for e in elements)
             assert maps_onto(stab._cut_levels, target) == want
-
-
-# Alt(7) on 3-subsets: a walk builds a stabilizer along a path that does
-# not ascend, with generators other than the lattice's recursion gives
-ALT7_3 = (35, list(cat.k_subsets_action("Alt", 7, 3).group.generators), [])
 
 
 def walked_lattices(run, module, group):

@@ -1,6 +1,6 @@
 """The statistics report from one walk against the two walks it merges:
 base_height_profile for b/B/H/I and relational_complexity, with its own
-pruned walk, for RC and its witness."""
+walk cut below redundant sets, for RC and its witness."""
 
 from unittest import mock
 
@@ -81,8 +81,8 @@ def witness_checks(run, group):
 @example((15, cat.k_subsets_action("Sym", 6, 2).group.generators, []))
 @settings(max_examples=40, deadline=None)
 def test_rc_checks_the_nodes_its_pruned_walk_checks(case):
-    # the liveness rule: the one walk asks RC about exactly the nodes, in
-    # the same order, that RC's own pruned walk reaches
+    # the one whole walk asks RC about exactly the nodes, in the same
+    # order, that RC's own walk, cut below redundant sets, asks about
     degree, gens, _ = case
     group = PermutationGroup(degree, gens)
     assert (witness_checks(compute_statistics, group)
