@@ -61,6 +61,18 @@ number of such s, and the G_{S-x_i}-orbit of a point a is the union of
 the G_S-orbits of the points a^(g^-1), g = t_s u_s.  A child's descents
 are its parent's plus one level, so the walk carries each node's cosets
 down and extends them by the child's level (extend_sides).
+
+RC's walk (redundant=False) decides whether a child S + {p} is redundant
+before it keys, orbit-tests or builds it.  The level the child cuts is
+keyed by the orbit O of p under G_S, which stab.orbits() pairs with p, so
+side i of the child keeps exactly the parent cosets g with p^(g^-1) in O.
+The identity is always kept and the new point's side has |O| > 1 cosets,
+so the child is redundant exactly when some parent side keeps nothing but
+the identity.  Such a child gets no orbit test, no visited record, no
+build and no adopt, and that loses nothing.  Redundancy is G-invariant,
+so its record could only ever catch redundant sets, which are skipped
+anyway.  And the lattice is read (lattice_witness) only at subsets of an
+independent prefix, which are independent, so never at a redundant set.
 """
 
 from __future__ import annotations
@@ -150,10 +162,12 @@ def canonical_prefixes(lattice: StabilizerLattice, redundant=True):
     Yields (points tuple, stabilizer along them, side cosets) in depth-first
     order, root (empty prefix) excluded; the side cosets (extend_sides)
     live on the walk's stack only.  With redundant=False, a child with a
-    redundant point (side cosets None) is neither yielded nor walked
-    below: every set under it keeps that point redundant.  A prefix set
-    whose G-orbit was already visited, through this set or another, is
-    skipped.
+    redundant point is neither yielded nor walked below: every set under
+    it keeps that point redundant.  It is decided from p's orbit and the
+    parent's side cosets, so it is neither orbit-tested, recorded nor
+    built (see the module docstring for why nothing is lost).  A prefix
+    set whose G-orbit was already visited, through this set or another,
+    is skipped.
     """
     n = lattice.group.degree
     colour = orbital_colours(lattice.group)
@@ -165,8 +179,14 @@ def canonical_prefixes(lattice: StabilizerLattice, redundant=True):
         # of nontrivial orbits extend the prefix (orbits() pairs each orbit
         # with its minimum, in ascending order of the minimum).  By
         # orbit-stabilizer, each of those divides the order by its orbit
-        # length.
-        for p in [alpha for alpha, orbit in stab.orbits() if len(orbit) > 1]:
+        # length.  The child's level is keyed by the orbit, so its side i
+        # keeps the identity and each g with g.index(p) in the orbit
+        # (extend_sides): a side left with the identity alone makes the
+        # child redundant.  Only the points are kept, so no orbit set stays
+        # alive while the walk descends.
+        children = [p for p, orbit in stab.orbits() if len(orbit) > 1 and (
+            redundant or all(any(g.index(p) in orbit for g in cosets[1:]) for cosets in sides))]
+        for p in children:
             child_points = points + (p,)
             same_key = visited.setdefault(set_key(colour, n, child_points), [])
             if any(maps_onto(path, child_points) for path in same_key):
@@ -175,8 +195,6 @@ def canonical_prefixes(lattice: StabilizerLattice, redundant=True):
             same_key.append(child._cut_levels)
             lattice.adopt(child)
             child_sides = extend_sides(sides, child._cut_levels[-1])
-            if child_sides is None and not redundant:
-                continue
             yield child_points, child, child_sides
             yield from walk(child_points, child, child_sides)
 

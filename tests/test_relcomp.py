@@ -151,6 +151,15 @@ def test_force_caps_reads_the_forced_order_cap(monkeypatch):
         relational_complexity(g, force_caps=True)
 
 
+def test_rc_past_the_caps_meets_the_closed_formula():
+    # Sym(9) on 4-subsets (degree 126) is past RC_DEGREE_CAP; its RC,
+    # 2 + floor(log2 4) = 4, is Cherlin-Martin-Saracino's closed formula
+    entry = cat.k_subsets_action("Sym", 9, 4)
+    rc, witness = relational_complexity(entry.group, force_caps=True)
+    assert rc == entry.expected_rc == 4
+    assert witness.verify(entry.group)
+
+
 def test_rc_witness_structure():
     g = cat.alternating_natural(4).group
     rc, witness = relational_complexity(g)

@@ -124,6 +124,31 @@ def test_the_cut_drops_only_sets_with_a_redundant_point(case):
 
 @given(subgroups_with_points())
 @example(PSL25)
+@example(SYM5_2)
+@example(ALT7_3)
+@settings(max_examples=40, deadline=None)
+def test_cut_walk_builds_only_the_children_it_yields(case):
+    # the cut walk decides a child's redundancy from its orbit before it
+    # builds the child, so every stabilizer it builds is a node it yields
+    degree, gens, _ = case
+    group = PermutationGroup(degree, gens)
+    built = []
+    pointwise_stabilizer = PermutationGroup.pointwise_stabilizer
+
+    def recording(self, points):
+        stab = pointwise_stabilizer(self, points)
+        if sys._getframe(1).f_code.co_name == "walk":
+            built.append(stab)
+        return stab
+
+    with mock.patch.object(PermutationGroup, "pointwise_stabilizer", recording):
+        nodes = list(canonical_prefixes(StabilizerLattice(group), redundant=False))
+    assert len(built) == len(nodes)
+    assert all(path_sides(child) is not None for child in built)
+
+
+@given(subgroups_with_points())
+@example(PSL25)
 @example((7, cat.intransitive_join(5).group.generators, []))
 @example(SYM5_2)
 @settings(max_examples=80, deadline=None)
